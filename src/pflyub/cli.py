@@ -7,7 +7,7 @@ Subcommands:
     localcoh  --parity even|odd --m M --object Q|D|pfpole --index P
     gaussian  --a A --b B [--power 4]
     bott      --gamma g1,g2,...,gn
-    verify    [--n-max N] [--jobs J]
+    verify    [--n-max N]
 
 Exit codes: 0 success, 1 verification failure, 2 argument error.
 """
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     p_verify.add_argument("--n-max", type=int, default=13)
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -79,7 +78,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lyubeznik":
         table = build_table(args.n, args.k)
         if args.format == "json":
-            print(json.dumps(table.to_obj()))
+            print(table.to_json())
         elif args.format == "csv":
             sys.stdout.write(table.to_csv())
         else:
@@ -104,10 +103,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "gaussian":
-        poly = gaussian_binomial(args.a, args.b)
-        if args.power != 1:
-            poly = poly.substitute_power(args.power)
-        print(json.dumps(poly.to_obj()))
+        print(json.dumps(gaussian_binomial(args.a, args.b, args.power).to_obj()))
         return 0
 
     if args.command == "bott":
@@ -121,7 +117,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        report = verify_all(args.n_max, jobs=args.jobs)
+        report = verify_all(args.n_max)
         for suite in report["suites"]:
             status = "PASS" if suite["pass"] else "FAIL"
             line = f"{suite['name']}: {status} ({suite['checked']} checks)"

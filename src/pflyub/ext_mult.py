@@ -53,7 +53,7 @@ def ext_series_closed(m: int, a: int, b: int) -> BiLaurentPoly:
     """The multiplicity series in closed form."""
     _check_args(m, a, b)
     shift = a * (2 * a - 3) - m * (4 * a - 2 * m - 3) + 1
-    return BiLaurentPoly.q(shift) * gaussian_binomial(m - 1, a - 1).substitute_power(4)
+    return BiLaurentPoly.q(shift) * gaussian_binomial(m - 1, a - 1, power=4)
 
 
 def _check_args(m: int, a: int, b: int) -> None:

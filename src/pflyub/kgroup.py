@@ -87,10 +87,6 @@ def d_to_q(c: KClass) -> KClass:
     return KClass(QBASIS, c.n, tuple(coeffs))
 
 
-def _q4_binomial(a: int, b: int) -> BiLaurentPoly:
-    return gaussian_binomial(a, b).substitute_power(4)
-
-
 def localcoh_class_even_Q(m: int, k: int) -> KClass:
     """Class of the local cohomology of S with support in the rank <= 2k locus,
     n = 2m even, in the Q-basis, graded by q^(cohomological degree)."""
@@ -103,7 +99,7 @@ def localcoh_class_even_Q(m: int, k: int) -> KClass:
     else:
         for p in range(k + 1):
             shift = 2 * (m - k) ** 2 - (m - k) + 4 * (k - p)
-            coeffs[p] = BiLaurentPoly.q(shift) * _q4_binomial(m - p - 2, k - p)
+            coeffs[p] = BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
     return KClass(QBASIS, 2 * m, tuple(coeffs))
 
 
@@ -116,7 +112,7 @@ def localcoh_class_even_D(m: int, k: int) -> KClass:
     shift = 2 * (m - k) ** 2 - (m - k)
     coeffs = [BiLaurentPoly.zero() for _ in range(m + 1)]
     for s in range(k + 1):
-        coeffs[s] = BiLaurentPoly.q(shift) * _q4_binomial(m - s - 1, k - s)
+        coeffs[s] = BiLaurentPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
     return KClass(DBASIS, 2 * m, tuple(coeffs))
 
 
@@ -129,7 +125,7 @@ def localcoh_class_odd_D_reversed(m: int, k: int) -> KClass:
     coeffs = [BiLaurentPoly.zero() for _ in range(m + 1)]
     for p in range(k + 1):
         shift = k * (2 * k + 3) - 2 * p * (2 * k - 2 * m + 1)
-        coeffs[p] = BiLaurentPoly.q(shift) * _q4_binomial(m - p - 1, k - p)
+        coeffs[p] = BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 1, k - p, power=4)
     return KClass(DBASIS, 2 * m + 1, tuple(coeffs))
 
 

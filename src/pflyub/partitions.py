@@ -9,17 +9,20 @@ The Gaussian binomial ``binom(a, b)_q`` is computed by the Pascal recurrence
 
     binom(a, b) = binom(a-1, b-1) + q^b * binom(a-1, b),    a > b > 0,
 
-with binom(a, 0) = binom(a, a) = 1, keeping all arithmetic in integers.  An
-independent route, ``gaussian_binomial_oracle``, sums q^|x| over the partitions
-x fitting inside an (a-b) x b box; the two must agree.
+with binom(a, 0) = binom(a, a) = 1, keeping all arithmetic in integers.  The
+recurrence runs iteratively, one row of dense coefficient tuples per value of
+b, so no size of a exhausts the call stack.  An independent route,
+``gaussian_binomial_oracle``, sums q^|x| over the partitions x fitting inside
+an (a-b) x b box; the two must agree.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Iterator, Sequence
 
-from .polyring import ONE, BiLaurentPoly
+from .polyring import BiLaurentPoly
 
 
 class Partition:
@@ -137,25 +140,40 @@ def conjugate(z: Partition) -> Partition:
     return Partition(cols, length=width)
 
 
-def gaussian_binomial(a: int, b: int) -> BiLaurentPoly:
-    """The Gaussian binomial coefficient binom(a, b)_q, a polynomial in q.
+def gaussian_binomial(a: int, b: int, power: int = 1) -> BiLaurentPoly:
+    """The Gaussian binomial coefficient binom(a, b)_q, a polynomial in q;
+    with ``power``, the same coefficients on q^power (``power=4`` gives the
+    binom(a, b)_{q^4} of the local cohomology formulas).
 
     Requires a >= b >= 0; callers dispatch any special cases before calling.
-    The result has degree b(a-b) and nonnegative coefficients.
+    The result has degree power * b(a-b) and nonnegative coefficients.
     """
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError("arguments must be integers")
     if b < 0 or a < b:
         raise ValueError(f"gaussian_binomial requires a >= b >= 0, got ({a}, {b})")
-    return _gauss(a, b)
+    if not isinstance(power, int) or power < 1:
+        raise ValueError("substitution power must be a positive integer")
+    return BiLaurentPoly({(power * e, 0): c for e, c in enumerate(_gauss(a, b))})
 
 
-# lru_cache is safe under concurrent read/insert; entries are immutable.
 @lru_cache(maxsize=None)
-def _gauss(a: int, b: int) -> BiLaurentPoly:
-    if b == 0 or b == a:
-        return ONE
-    return _gauss(a - 1, b - 1) + BiLaurentPoly.q(b) * _gauss(a - 1, b)
+def _gauss(a: int, b: int) -> tuple[int, ...]:
+    """Coefficients of binom(a, b)_q, constant term first.
+
+    Row j holds binom(j + r, j) for r = 0..a-b; Pascal's rule gives
+    binom(j + r, j) = binom(j + r - 1, j - 1) + q^j * binom(j + r - 1, j),
+    the first term from the row before and the second from the entry before.
+    """
+    row = [(1,)] * (a - b + 1)
+    for j in range(1, b + 1):
+        new = [(1,)]
+        for r in range(1, a - b + 1):
+            coeffs = list(row[r]) + [0] * r  # degree (j-1)r, padded to jr
+            coeffs[j:] = map(add, coeffs[j:], new[r - 1])
+            new.append(tuple(coeffs))
+        row = new
+    return row[-1]
 
 
 def gaussian_binomial_oracle(a: int, b: int) -> BiLaurentPoly:

@@ -95,12 +95,28 @@ class TestBuildTable:
                 assert 0 <= i <= j <= dim
 
     def test_mismatch_refused(self, monkeypatch):
-        real = ly.L_closed
-        monkeypatch.setattr(ly, "L_closed", lambda n, k: real(n, k) + ONE)
+        real = ly._closed_factors
+        monkeypatch.setattr(ly, "_closed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
         with pytest.raises(PathMismatchError) as err:
             ly.build_table(6, 1)
         assert err.value.exponents == (0, 0)
         assert (err.value.closed, err.value.composed) == (1, 0)
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (9, 2), (12, 3)])
+    def test_differing_factors_with_equal_expansions_build(self, n, k, monkeypatch):
+        # split the last term a*b into (a + 1)*b - 1*b: the factor lists
+        # differ, the expansions do not
+        expected = build_table(n, k).entries
+        real = ly._closed_factors
+
+        def split(n, k):
+            factors = real(n, k)
+            a, b = factors.pop()
+            return factors + [(a + ONE, b), (-ONE, b)]
+
+        monkeypatch.setattr(ly, "_closed_factors", split)
+        assert ly._closed_factors(n, k) != ly._composed_factors(n, k)
+        assert ly.build_table(n, k).entries == expected
 
     def test_invariant_violations_located(self):
         bad = LyubeznikTable(n=6, k=1, dim=9, ambient=15, entries={(9, 9): 1, (7, 3): 1})
@@ -137,6 +153,12 @@ class TestEmitters:
         assert out.rstrip().endswith(r"\end{tabular}")
         assert "$9$ & $0$ & $1$" in out  # row i=9: lambda_{9,5}=0, lambda_{9,9}=1
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_json_direct_matches_dumps(self, n):
+        for k in valid_k_range(n):
+            table = build_table(n, k)
+            assert table.to_json() == json.dumps(table.to_obj())
+
 
 class TestVerifyAll:
     def test_degenerate_range(self):
@@ -146,15 +168,15 @@ class TestVerifyAll:
         assert "two_path_tables" in names
 
     def test_corrupted_closed_form_is_located(self, monkeypatch):
-        real = ly.L_closed
+        real = ly._closed_factors
 
         def corrupted(n, k):
             out = real(n, k)
             if (n, k) == (6, 1):
-                out = out + mono(1, 2)
+                out = out + [(BiLaurentPoly.q(1), BiLaurentPoly.q(2))]
             return out
 
-        monkeypatch.setattr(ly, "L_closed", corrupted)
+        monkeypatch.setattr(ly, "_closed_factors", corrupted)
         report = ly.verify_all(7)
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "two_path_tables")
@@ -169,12 +191,19 @@ class TestVerifyAll:
         assert report["pass"] is True
         assert all(s["error"] is None for s in report["suites"])
 
-    def test_parallel_matches_serial(self):
-        serial = verify_all(8)
-        parallel = verify_all(8, jobs=4)
-        assert serial["pass"] and parallel["pass"]
-        two_path = lambda r: next(s for s in r["suites"] if s["name"] == "two_path_tables")
-        assert two_path(serial)["checked"] == two_path(parallel)["checked"]
+    def test_unexpected_exception_is_recorded(self, monkeypatch):
+        def broken(m, a, b):
+            raise TypeError("broken step")
+
+        monkeypatch.setattr(ly.ext_mult, "ext_series_enum", broken)
+        report = ly.verify_all(4)
+        assert report["pass"] is False
+        suite = next(s for s in report["suites"] if s["name"] == "ext_series")
+        assert suite["pass"] is False
+        assert suite["checked"] == 0
+        assert "TypeError" in suite["error"]
+        # the other suites still ran
+        assert all(s["pass"] for s in report["suites"] if s["name"] != "ext_series")
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError):
@@ -217,6 +246,11 @@ class TestCli:
             {"eq": 4, "ew": 0, "c": 1},
         ]
 
+    def test_gaussian_large_a(self, capsys):
+        assert main(["gaussian", "--a", "600", "--b", "2", "--power", "4"]) == 0
+        terms = json.loads(capsys.readouterr().out)
+        assert sum(t["c"] for t in terms) == comb(600, 2)
+
     def test_bott_nonzero(self, capsys):
         # leading-dash values need the = form
         assert main(["bott", "--gamma=-3,-3,0"]) == 0
@@ -237,9 +271,9 @@ class TestCli:
         assert main(["bott", "--gamma", "not,numbers"]) == 2
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        real = ly.L_closed
+        real = ly._closed_factors
         monkeypatch.setattr(
-            ly, "L_closed", lambda n, k: real(n, k) + (ONE if (n, k) == (4, 1) else 0)
+            ly, "_closed_factors", lambda n, k: real(n, k) + ([(ONE, ONE)] if (n, k) == (4, 1) else [])
         )
         assert main(["verify", "--n-max", "4"]) == 1
         assert "two_path_tables: FAIL" in capsys.readouterr().out
