@@ -11,7 +11,7 @@ cross-checked against an independent route.
 
 from .errors import PathMismatchError, TableInvariantError, VerificationError
 from .ext_mult import ZPair, ext_series_closed, ext_series_enum, zset_rectangle, zset_thickened
-from .characters import IdealI, ModuleN, PfPole, SimpleD, contains, verify_limitpfaff
+from .characters import IdealI, ModuleN, PfPole, SimpleD, verify_limitpfaff
 from .kgroup import (
     KClass,
     d_to_q,
@@ -57,7 +57,6 @@ __all__ = [
     "bott",
     "build_table",
     "conjugate",
-    "contains",
     "d_to_q",
     "dominates",
     "double_columns",

@@ -21,11 +21,11 @@ N_{k,e} <= N_{k,e+1} and N_{k,e} <= N_{k+1,e}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import VerificationError
 from .partitions import Partition, dominates
-from .weights_bott import DominantWeight, _weakly_decreasing, dual, in_B
+from .weights_bott import DominantWeight, _doubled, _weakly_decreasing, dual, in_B
 
 
 def _paired_half(entries: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -33,9 +33,7 @@ def _paired_half(entries: tuple[int, ...]) -> tuple[int, ...] | None:
     if len(entries) % 2:
         return None
     half = entries[0::2]
-    if entries != tuple(x for v in half for x in (v, v)):
-        return None
-    return half
+    return half if half == entries[1::2] else None
 
 
 class CharSpec:
@@ -84,6 +82,7 @@ class ModuleN(CharSpec):
     k: int
     e: int
     n: int
+    threshold: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n % 2:
@@ -93,17 +92,15 @@ class ModuleN(CharSpec):
             raise ValueError(f"require 0 <= k <= m-1, got k={self.k}, m={m}")
         if self.e < 1:
             raise ValueError(f"require e >= 1, got e={self.e}")
-
-    def threshold(self) -> tuple[int, ...]:
-        m = self.n // 2
-        return (-2 * self.k,) * (m - self.k) + (-self.e - 2 * self.k,) * self.k
+        threshold = (-2 * self.k,) * (m - self.k) + (-self.e - 2 * self.k,) * self.k
+        object.__setattr__(self, "threshold", threshold)
 
     def contains(self, mu: DominantWeight) -> bool:
         entries = self._check_length(mu)
         half = _paired_half(entries)
         if half is None:
             return False
-        return dominates(half, self.threshold())
+        return dominates(half, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -146,17 +143,9 @@ class SimpleD(CharSpec):
         return in_B(dual(mu), m - self.s, self.n)
 
 
-def contains(spec: CharSpec, mu: DominantWeight) -> bool:
-    """Functional form of spec.contains(mu)."""
-    return spec.contains(mu)
-
-
 def paired_window(m: int, bound: int) -> list[DominantWeight]:
     """All paired dominant weights of length 2m with entries in [-bound, bound]."""
-    out = []
-    for half in _weakly_decreasing(m, -bound, bound):
-        out.append(DominantWeight([x for v in half for x in (v, v)]))
-    return out
+    return [DominantWeight(_doubled(half)) for half in _weakly_decreasing(m, -bound, bound)]
 
 
 def verify_limitpfaff(m: int, k: int, bound: int) -> dict:

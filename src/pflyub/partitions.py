@@ -18,8 +18,9 @@ an (a-b) x b box; the two must agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from operator import add
+from operator import add, ge
 from typing import Iterator, Sequence
 
 from .polyring import BiLaurentPoly
@@ -91,7 +92,7 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise a >= b for sequences of equal ambient length."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def enumerate_box(c: int, d: int) -> Iterator[Partition]:
@@ -103,17 +104,17 @@ def enumerate_box(c: int, d: int) -> Iterator[Partition]:
     """
     if c < 0 or d < 0:
         raise ValueError("box dimensions must be nonnegative")
-
-    def rec(rows: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if rows == 0:
-            yield ()
-            return
-        for v in range(cap, -1, -1):
-            for rest in rec(rows - 1, v):
-                yield (v,) + rest
-
-    for parts in rec(c, d):
+    for parts in _box(c, d):
         yield Partition(parts, length=c)
+
+
+def _box(rows: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if rows == 0:
+        yield ()
+        return
+    for v in range(cap, -1, -1):
+        for rest in _box(rows - 1, v):
+            yield (v,) + rest
 
 
 def double_columns(z: Partition) -> Partition:
@@ -180,7 +181,5 @@ def gaussian_binomial_oracle(a: int, b: int) -> BiLaurentPoly:
     """binom(a, b)_q by brute force: sum of q^|x| over partitions x in an (a-b) x b box."""
     if b < 0 or a < b:
         raise ValueError(f"gaussian_binomial_oracle requires a >= b >= 0, got ({a}, {b})")
-    total = BiLaurentPoly.zero()
-    for x in enumerate_box(a - b, b):
-        total = total + BiLaurentPoly.q(x.size())
-    return total
+    sizes = Counter(map(sum, _box(a - b, b)))
+    return BiLaurentPoly({(size, 0): count for size, count in sizes.items()})

@@ -142,14 +142,6 @@ class BiLaurentPoly:
 
     # -- q-only transforms -------------------------------------------------
 
-    def substitute_power(self, k: int) -> BiLaurentPoly:
-        """Replace q by q**k; the input must not involve w and k must be >= 1."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        if not self.is_q_only():
-            raise ValueError("substitute_power requires a polynomial in q only")
-        return _raw({(k * eq, 0): c for (eq, _), c in self._terms.items()})
-
     def reverse(self, d: int) -> BiLaurentPoly:
         """Return q**d * p(1/q), i.e. send each exponent e to d - e (q only)."""
         if not self.is_q_only():

@@ -21,8 +21,10 @@ the maximum absolute entry.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import VerificationError
@@ -87,35 +89,53 @@ class BottResult:
         return self.degree is None
 
 
-def bott(gamma: Sequence[int]) -> BottResult:
-    """Run Bott's algorithm on an arbitrary integer sequence gamma."""
+def _bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, None]:
+    """Bott's algorithm on plain tuples: (degree, weight entries), or (None, None)."""
     n = len(gamma)
     rho = range(n - 1, -1, -1)
-    v = [g + r for g, r in zip(gamma, rho)]
+    v = list(map(add, gamma, rho))
     if len(set(v)) < n:
+        return None, None
+    # entries are distinct, so inversion count = minimal transposition count;
+    # scanning from the right, each entry is inverted with every larger one seen
+    seen: list[int] = []
+    inversions = 0
+    for x in reversed(v):
+        i = bisect(seen, x)
+        inversions += len(seen) - i
+        seen.insert(i, x)
+    seen.reverse()
+    return inversions, tuple(map(sub, seen, rho))
+
+
+def bott(gamma: Sequence[int]) -> BottResult:
+    """Run Bott's algorithm on an arbitrary integer sequence gamma."""
+    degree, weight = _bott(gamma)
+    if degree is None:
         return BottResult.zero()
-    # entries are distinct, so inversion count = minimal transposition count
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
-    shifted = sorted(v, reverse=True)
-    weight = DominantWeight([s - r for s, r in zip(shifted, rho)])
-    return BottResult.cohomology(inversions, weight)
+    return BottResult.cohomology(degree, DominantWeight(weight))
+
+
+def _dual(entries: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(entries)))
 
 
 def dual(weight: DominantWeight) -> DominantWeight:
     """The dual weight (-w_n, ..., -w_1); an involution."""
-    return DominantWeight(tuple(-e for e in reversed(weight.entries)))
+    return DominantWeight(_dual(weight.entries))
 
 
-def in_B(weight: DominantWeight, s: int, n: int) -> bool:
-    """Membership of a length-n dominant weight in B(s, n)."""
-    m = n // 2
-    if not 0 <= s <= m:
+def _check_s(s: int, n: int) -> None:
+    if not 0 <= s <= n // 2:
         raise ValueError(f"require 0 <= s <= floor(n/2), got s={s}, n={n}")
-    if len(weight) != n:
+
+
+def _in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
+    if len(lam) != n:
         return False
-    lam = weight.entries
+    m = n // 2
     if n % 2 == 0:
-        if any(lam[2 * i] != lam[2 * i + 1] for i in range(m)):
+        if lam[0::2] != lam[1::2]:
             return False
         if s >= 1 and lam[2 * s - 1] < 2 * s - 1:
             return False
@@ -124,11 +144,14 @@ def in_B(weight: DominantWeight, s: int, n: int) -> bool:
         return True
     if lam[2 * s] != 2 * s:
         return False
-    if any(lam[2 * i - 2] != lam[2 * i - 1] for i in range(1, s + 1)):
-        return False
-    if any(lam[2 * i - 1] != lam[2 * i] for i in range(s + 1, m + 1)):
-        return False
-    return True
+    # lambda_{2i-1} = lambda_{2i} for i <= s, lambda_{2i} = lambda_{2i+1} for i > s
+    return lam[0 : 2 * s : 2] == lam[1 : 2 * s : 2] and lam[2 * s + 1 :: 2] == lam[2 * s + 2 :: 2]
+
+
+def in_B(weight: DominantWeight, s: int, n: int) -> bool:
+    """Membership of a length-n dominant weight in B(s, n)."""
+    _check_s(s, n)
+    return _in_B(weight.entries, s, n)
 
 
 def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
@@ -140,32 +163,32 @@ def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterable[tuple[int, ...
     yield from combinations_with_replacement(range(hi, lo - 1, -1), length)
 
 
-def enumerate_B(s: int, n: int, bound: int) -> set[DominantWeight]:
-    """All weights of B(s, n) whose entries have absolute value <= bound."""
+def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(zip(v, v)))
+
+
+def _enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
     m = n // 2
-    if not 0 <= s <= m:
-        raise ValueError(f"require 0 <= s <= floor(n/2), got s={s}, n={n}")
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    out: set[DominantWeight] = set()
     if n % 2 == 0:
         # pair values v_i = lambda_{2i-1} = lambda_{2i}
-        for v in _weakly_decreasing(m, -bound, bound):
-            if s >= 1 and v[s - 1] < 2 * s - 1:
-                continue
-            if s <= m - 1 and v[s] > 2 * s:
-                continue
-            out.add(DominantWeight([x for x in v for _ in range(2)]))
-        return out
+        return {
+            _doubled(v)
+            for v in _weakly_decreasing(m, -bound, bound)
+            if not (s >= 1 and v[s - 1] < 2 * s - 1) and not (s <= m - 1 and v[s] > 2 * s)
+        }
     # odd: (u_1, u_1, ..., u_s, u_s, 2s, t_1, t_1, ..., t_{m-s}, t_{m-s})
     if 2 * s > bound:
-        return out
-    for u in _weakly_decreasing(s, 2 * s, bound):
-        for t in _weakly_decreasing(m - s, -bound, 2 * s):
-            head = [x for x in u for _ in range(2)]
-            tail = [x for x in t for _ in range(2)]
-            out.add(DominantWeight(head + [2 * s] + tail))
-    return out
+        return set()
+    tails = [(2 * s,) + _doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]
+    return {_doubled(u) + tail for u in _weakly_decreasing(s, 2 * s, bound) for tail in tails}
+
+
+def enumerate_B(s: int, n: int, bound: int) -> set[DominantWeight]:
+    """All weights of B(s, n) whose entries have absolute value <= bound."""
+    _check_s(s, n)
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
+    return set(map(DominantWeight, _enumerate_B(s, n, bound)))
 
 
 def verify_pushforward(m: int, p: int, bound: int) -> dict:
@@ -187,38 +210,36 @@ def verify_pushforward(m: int, p: int, bound: int) -> dict:
         raise ValueError(f"bound must be at least 2m = {2 * m}")
     expected_degree = 2 * m - 2 * p
     zero_count = 0
-    images: dict[DominantWeight, DominantWeight] = {}
-    domain = enumerate_B(m - p, 2 * m, bound)
-    for lam in sorted(domain, key=lambda x: x.entries):
-        gamma = dual(lam).entries + (0,)
-        result = bott(gamma)
-        if result.is_zero:
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    domain = _enumerate_B(m - p, 2 * m, bound)
+    for lam in sorted(domain):
+        degree, weight = _bott(_dual(lam) + (0,))
+        if degree is None:
             zero_count += 1
             continue
-        if result.degree != expected_degree:
+        if degree != expected_degree:
             raise VerificationError(
-                f"pushforward(m={m}, p={p}): {lam} lands in degree "
-                f"{result.degree}, expected {expected_degree}"
+                f"pushforward(m={m}, p={p}): {DominantWeight(lam)} lands in degree "
+                f"{degree}, expected {expected_degree}"
             )
-        image = dual(result.weight)
-        if not in_B(image, m - p, 2 * m + 1):
+        image = _dual(weight)
+        if not _in_B(image, m - p, 2 * m + 1):
             raise VerificationError(
-                f"pushforward(m={m}, p={p}): image {image} of {lam} "
+                f"pushforward(m={m}, p={p}): image {DominantWeight(image)} of {DominantWeight(lam)} "
                 f"is not in B({m - p}, {2 * m + 1})"
             )
         if image in images:
             raise VerificationError(
-                f"pushforward(m={m}, p={p}): {lam} and {images[image]} "
-                f"share the image {image}"
+                f"pushforward(m={m}, p={p}): {DominantWeight(lam)} and {DominantWeight(images[image])} "
+                f"share the image {DominantWeight(image)}"
             )
         images[image] = lam
     if bound >= 2 * m + 2:
-        target_window = enumerate_B(m - p, 2 * m + 1, bound - 2)
-        missing = target_window - set(images)
+        missing = _enumerate_B(m - p, 2 * m + 1, bound - 2) - images.keys()
         if missing:
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): window weight "
-                f"{sorted(missing, key=lambda x: x.entries)[0]} has no preimage"
+                f"{DominantWeight(min(missing))} has no preimage"
             )
     return {
         "m": m,

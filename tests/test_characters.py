@@ -5,7 +5,6 @@ from pflyub.characters import (
     ModuleN,
     PfPole,
     SimpleD,
-    contains,
     paired_window,
     verify_limitpfaff,
 )
@@ -122,11 +121,6 @@ class TestSimpleD:
         spec = SimpleD(1, 6)
         for mu in paired_window(3, 4):
             assert spec.contains(mu) == in_B(dual(mu), 2, 6)
-
-    def test_functional_form(self):
-        spec = SimpleD(0, 4)
-        mu = doubled((-3, -4))
-        assert contains(spec, mu) == spec.contains(mu)
 
 
 class TestVerifyLimitPfaff:

@@ -124,6 +124,20 @@ class TestGaussianBinomial:
             assert gaussian_binomial_oracle(a, 0) == ONE
         assert gaussian_binomial_oracle(5, 2) == gaussian_binomial(5, 2)
 
+    def test_oracle_shares_no_code_with_the_binomial(self, monkeypatch):
+        import pflyub.partitions as pt
+
+        def broken(a, b):
+            raise AssertionError("the oracle must not call _gauss")
+
+        monkeypatch.setattr(pt, "_gauss", broken)
+        with pytest.raises(AssertionError):
+            pt.gaussian_binomial(10, 4)
+        g = pt.gaussian_binomial_oracle(10, 4)
+        assert sum(g.terms().values()) == comb(10, 4)
+        assert g.reverse(24) == g
+        assert g.q_exponents()[-1] == 24
+
 
 @pytest.mark.parametrize("a", range(15))
 def test_binomial_identities(a):

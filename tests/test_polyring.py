@@ -39,20 +39,6 @@ def test_mul_square():
     assert p * p == poly({(0, 0): 1, (4, 0): 2, (8, 0): 1})
 
 
-def test_substitute_power():
-    assert (ONE + Q).substitute_power(4) == ONE + BiLaurentPoly.q(4)
-    assert ONE.substitute_power(4) == ONE
-    p = ONE + Q + Q ** 2
-    assert p.substitute_power(2) == ONE + BiLaurentPoly.q(2) + BiLaurentPoly.q(4)
-
-
-def test_substitute_power_rejects_w():
-    with pytest.raises(ValueError):
-        (Q + W).substitute_power(4)
-    with pytest.raises(ValueError):
-        Q.substitute_power(0)
-
-
 def test_reverse():
     assert (Q ** 2 + Q ** 5).reverse(5) == ONE + Q ** 3
     assert ONE.reverse(7) == Q ** 7

@@ -147,14 +147,93 @@ class TestVerifyPushforward:
     def test_failure_names_the_weight(self, monkeypatch):
         import pflyub.weights_bott as wb
 
-        real_bott = wb.bott
+        real_bott = wb._bott
 
         def corrupted(gamma):
-            r = real_bott(gamma)
-            if r.is_zero or r.degree == 0:
-                return r
-            return wb.BottResult.cohomology(r.degree + 1, r.weight)
+            degree, weight = real_bott(gamma)
+            if not degree:
+                return degree, weight
+            return degree + 1, weight
 
-        monkeypatch.setattr(wb, "bott", corrupted)
+        monkeypatch.setattr(wb, "_bott", corrupted)
         with pytest.raises(VerificationError, match="degree"):
             wb.verify_pushforward(1, 0, 6)
+
+    def test_image_outside_B_is_named(self, monkeypatch):
+        import pflyub.weights_bott as wb
+
+        real_bott = wb._bott
+
+        def corrupted(gamma):
+            # raise the last entry's negation, i.e. the image's first entry, by one
+            degree, weight = real_bott(gamma)
+            if not degree:
+                return degree, weight
+            return degree, weight[:-1] + (weight[-1] - 1,)
+
+        monkeypatch.setattr(wb, "_bott", corrupted)
+        with pytest.raises(
+            VerificationError,
+            match=r"image DominantWeight\(\(3, 2, 2\)\) of DominantWeight\(\(3, 3\)\) is not in B\(1, 3\)",
+        ):
+            wb.verify_pushforward(1, 0, 6)
+
+    def test_shared_image_is_named(self, monkeypatch):
+        import pflyub.weights_bott as wb
+
+        real_bott = wb._bott
+        first = []
+
+        def corrupted(gamma):
+            # every non-vanishing case lands on the first one's weight
+            degree, weight = real_bott(gamma)
+            if degree is None:
+                return degree, weight
+            first.append(weight)
+            return degree, first[0]
+
+        monkeypatch.setattr(wb, "_bott", corrupted)
+        with pytest.raises(
+            VerificationError,
+            match=r"DominantWeight\(\(4, 4\)\) and DominantWeight\(\(3, 3\)\) "
+            r"share the image DominantWeight\(\(2, 2, 2\)\)",
+        ):
+            wb.verify_pushforward(1, 0, 6)
+
+    def test_missing_preimage_is_named(self, monkeypatch):
+        import pflyub.weights_bott as wb
+
+        real_bott = wb._bott
+        seen = []
+
+        def corrupted(gamma):
+            # the first non-vanishing case vanishes instead
+            degree, weight = real_bott(gamma)
+            if degree is not None and not seen:
+                seen.append(gamma)
+                return None, None
+            return degree, weight
+
+        monkeypatch.setattr(wb, "_bott", corrupted)
+        with pytest.raises(
+            VerificationError,
+            match=r"window weight DominantWeight\(\(2, 2, 2\)\) has no preimage",
+        ):
+            wb.verify_pushforward(1, 0, 6)
+
+
+def test_tuple_bott_matches_public_bott_and_brute_force():
+    from itertools import product
+
+    from pflyub.weights_bott import _bott
+
+    for gamma in product(range(-3, 4), repeat=5):
+        v = [g + 4 - i for i, g in enumerate(gamma)]
+        public = bott(gamma)
+        if len(set(v)) < 5:
+            assert _bott(gamma) == (None, None) and public.is_zero
+            continue
+        inversions = sum(1 for i in range(5) for j in range(i + 1, 5) if v[i] < v[j])
+        weight = tuple(x - 4 + i for i, x in enumerate(sorted(v, reverse=True)))
+        assert _bott(gamma) == (inversions, weight)
+        assert (public.degree, public.weight) == (inversions, DominantWeight(weight))
