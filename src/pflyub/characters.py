@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import VerificationError
-from .partitions import Partition, dominates
-from .weights_bott import DominantWeight, _doubled, _weakly_decreasing, dual, in_B
+from .partitions import Partition, _doubled, _weakly_decreasing, dominates
+from .weights_bott import DominantWeight, dual, in_B
 
 
 def _paired_half(entries: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -17,10 +17,11 @@ a x (e+1), and the same rectangle with a column of ones glued underneath.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
-from .partitions import Partition, enumerate_box, gaussian_binomial
+from .partitions import Partition, _weakly_decreasing, gaussian_binomial
 from .polyring import BiLaurentPoly
 
 
@@ -43,10 +44,8 @@ def ext_series_enum(m: int, a: int, b: int) -> BiLaurentPoly:
     """The multiplicity series by box enumeration (the brute-force route)."""
     _check_args(m, a, b)
     base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
-    total = BiLaurentPoly.zero()
-    for beta in enumerate_box(m - a, a - 1):
-        total = total + BiLaurentPoly.q(base - 4 * beta.size())
-    return total
+    sizes = Counter(map(sum, _weakly_decreasing(m - a, 0, a - 1)))
+    return BiLaurentPoly({(base - 4 * size, 0): count for size, count in sizes.items()})
 
 
 def ext_series_closed(m: int, a: int, b: int) -> BiLaurentPoly:
@@ -70,12 +69,9 @@ def zset_rectangle(m: int, a: int, e: int) -> frozenset[ZPair]:
         raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
     if e < 0:
         raise ValueError(f"require e >= 0, got e={e}")
-    out = set()
-    for v in range(e + 1):
-        for tail in enumerate_box(m - a, v):
-            x = Partition((v,) * a + tail.parts, length=m)
-            out.add(ZPair(x, a - 1))
-    return frozenset(out)
+    return frozenset(
+        ZPair(Partition((v,) * a + tail), a - 1) for v in range(e + 1) for tail in _weakly_decreasing(m - a, 0, v)
+    )
 
 
 def zset_thickened(m: int, a: int, e: int) -> frozenset[ZPair]:
@@ -86,9 +82,7 @@ def zset_thickened(m: int, a: int, e: int) -> frozenset[ZPair]:
         raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
     if e < 0:
         raise ValueError(f"require e >= 0, got e={e}")
-    out = {ZPair(Partition((), length=m), m - 1)}
-    for v in range(1, e + 1):
-        for tail in enumerate_box(m - a, v - 1):
-            x = Partition((v,) * a + tuple(t + 1 for t in tail.parts), length=m)
-            out.add(ZPair(x, a - 1))
-    return frozenset(out)
+    sentinel = ZPair(Partition((), length=m), m - 1)
+    return frozenset(
+        ZPair(Partition((v,) * a + tail), a - 1) for v in range(1, e + 1) for tail in _weakly_decreasing(m - a, 1, v)
+    ) | {sentinel}

@@ -206,11 +206,11 @@ def valid_k_range(n: int) -> range:
 
 
 def _suite(name: str, checks) -> dict:
-    """Run one suite; stop at the suite's first failure but never propagate."""
+    """Run one suite, a generator that yields once after each check passes;
+    stop at the suite's first failure but never propagate."""
     checked = 0
     try:
-        for step in checks:
-            step()
+        for _ in checks:
             checked += 1
     except Exception as exc:  # any failure, expected or not, is this suite's alone
         error = f"{type(exc).__name__}: {exc}"
@@ -226,128 +226,117 @@ def _require(condition: bool, message: str) -> None:
 def _two_path_checks(n_max: int):
     for n in range(2, n_max + 1):
         for k in valid_k_range(n):
-            yield lambda n=n, k=k: build_table(n, k)
+            build_table(n, k)
+            yield
 
 
 def _gaussian_checks(a_max: int):
     for a in range(a_max + 1):
         for b in range(a + 1):
-            def check(a=a, b=b):
-                g = gaussian_binomial(a, b)
-                _require(
-                    g == partitions.gaussian_binomial_oracle(a, b),
-                    f"binomial({a},{b}) disagrees with the box enumeration",
-                )
-                _require(
-                    g == gaussian_binomial(a, a - b),
-                    f"binomial symmetry fails at ({a},{b})",
-                )
-                _require(
-                    g.reverse(b * (a - b)) == g,
-                    f"binomial inversion fails at ({a},{b})",
-                )
-                if a > b > 0:
-                    pascal = gaussian_binomial(a - 1, b - 1) + BiLaurentPoly.q(b) * gaussian_binomial(a - 1, b)
-                    _require(g == pascal, f"Pascal identity fails at ({a},{b})")
-            yield check
+            g = gaussian_binomial(a, b)
+            _require(
+                g == partitions.gaussian_binomial_oracle(a, b),
+                f"binomial({a},{b}) disagrees with the box enumeration",
+            )
+            _require(
+                g == gaussian_binomial(a, a - b),
+                f"binomial symmetry fails at ({a},{b})",
+            )
+            _require(
+                g.reverse(b * (a - b)) == g,
+                f"binomial inversion fails at ({a},{b})",
+            )
+            if a > b > 0:
+                pascal = gaussian_binomial(a - 1, b - 1) + BiLaurentPoly.q(b) * gaussian_binomial(a - 1, b)
+                _require(g == pascal, f"Pascal identity fails at ({a},{b})")
+            yield
 
 
 def _kgroup_checks(m_max: int, m_max_swap: int):
     for m in range(2, m_max + 1):
         for k in range(m - 1):
-            def check_decomp(m=m, k=k):
-                _require(
-                    q_to_d(localcoh_class_even_Q(m, k)) == localcoh_class_even_D(m, k),
-                    f"Q-to-D decomposition fails at (m={m}, k={k})",
-                )
-            yield check_decomp
+            _require(
+                q_to_d(localcoh_class_even_Q(m, k)) == localcoh_class_even_D(m, k),
+                f"Q-to-D decomposition fails at (m={m}, k={k})",
+            )
+            yield
     for m in range(2, m_max_swap + 1):
         d = comb(2 * m, 2)
         for k in range(m - 1):
-            def check_swap(m=m, k=k, d=d):
-                reversed_cls = reverse_class(localcoh_class_even_Q(m, k), d)
-                expected = []
-                for p in range(m + 1):
-                    if p <= k:
-                        shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                        expected.append(
-                            BiLaurentPoly.q(shift)
-                            * gaussian_binomial(m - p - 2, k - p, power=4)
-                        )
-                    else:
-                        expected.append(BiLaurentPoly.zero())
-                _require(
-                    reversed_cls == kgroup.KClass("Q", 2 * m, tuple(expected)),
-                    f"grading reversal closed form fails at (m={m}, k={k})",
-                )
-            yield check_swap
+            reversed_cls = reverse_class(localcoh_class_even_Q(m, k), d)
+            expected = []
+            for p in range(m + 1):
+                if p <= k:
+                    shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
+                    expected.append(BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
+                else:
+                    expected.append(BiLaurentPoly.zero())
+            _require(
+                reversed_cls == kgroup.KClass("Q", 2 * m, tuple(expected)),
+                f"grading reversal closed form fails at (m={m}, k={k})",
+            )
+            yield
 
 
 def _origin_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m):
-            def check_q(m=m, p=p):
-                _require(
-                    BiLaurentPoly.q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1),
-                    f"pole/indecomposable splice fails at (m={m}, p={p})",
-                )
-            yield check_q
+            _require(
+                BiLaurentPoly.q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1),
+                f"pole/indecomposable splice fails at (m={m}, p={p})",
+            )
+            yield
         for s in range(1, m):
-            def check_d(m=m, s=s):
-                spliced = h0_pf_pole(m, m - s) + BiLaurentPoly.q(-1) * h0_pf_pole(m, m - s - 1)
-                _require(
-                    h0_D_even(m, s) == spliced,
-                    f"simple-module splice fails at (m={m}, s={s})",
-                )
-            yield check_d
+            spliced = h0_pf_pole(m, m - s) + BiLaurentPoly.q(-1) * h0_pf_pole(m, m - s - 1)
+            _require(
+                h0_D_even(m, s) == spliced,
+                f"simple-module splice fails at (m={m}, s={s})",
+            )
+            yield
 
 
 def _ext_checks(m_max: int):
     for m in range(1, m_max + 1):
         for a in range(1, m + 1):
             for b in (2 * a - 1, 2 * a, 2 * a + 3):
-                def check(m=m, a=a, b=b):
-                    _require(
-                        ext_mult.ext_series_enum(m, a, b) == ext_mult.ext_series_closed(m, a, b),
-                        f"Ext series mismatch at (m={m}, a={a}, b={b})",
-                    )
-                yield check
+                _require(
+                    ext_mult.ext_series_enum(m, a, b) == ext_mult.ext_series_closed(m, a, b),
+                    f"Ext series mismatch at (m={m}, a={a}, b={b})",
+                )
+                yield
     for m in range(1, 6):
         for k in range(1, m + 1):
             a = m - k
             if not 1 <= a <= m:
                 continue
             for e in range(5):
-                def check_sets(m=m, k=k, a=a, e=e):
-                    rect = ext_mult.zset_rectangle(m, a, e)
-                    if a + 1 <= m:
-                        _require(
-                            not (rect & ext_mult.zset_thickened(m, a + 1, e)),
-                            f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
-                        )
-                    thick = ext_mult.zset_thickened(m, a, e)
-                    sentinel = ext_mult.ZPair(partitions.Partition((), length=m), m - 1)
+                rect = ext_mult.zset_rectangle(m, a, e)
+                if a + 1 <= m:
                     _require(
-                        (thick - {sentinel}) <= ext_mult.zset_rectangle(m, a, e + 1),
-                        f"Z-set inclusion fails at (m={m}, a={a}, e={e})",
+                        not (rect & ext_mult.zset_thickened(m, a + 1, e)),
+                        f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
                     )
-                yield check_sets
+                thick = ext_mult.zset_thickened(m, a, e)
+                sentinel = ext_mult.ZPair(partitions.Partition((), length=m), m - 1)
+                _require(
+                    (thick - {sentinel}) <= ext_mult.zset_rectangle(m, a, e + 1),
+                    f"Z-set inclusion fails at (m={m}, a={a}, e={e})",
+                )
+                yield
 
 
 def _bott_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m + 1):
-            def check(m=m, p=p):
-                weights_bott.verify_pushforward(m, p, 2 * m + 6)
-            yield check
+            weights_bott.verify_pushforward(m, p, 2 * m + 6)
+            yield
 
 
 def _character_checks(m_max: int, bound: int):
     for m in range(1, m_max + 1):
         for k in range(m):
-            def check(m=m, k=k):
-                characters.verify_limitpfaff(m, k, bound)
-            yield check
+            characters.verify_limitpfaff(m, k, bound)
+            yield
 
 
 def verify_all(n_max: int) -> dict:

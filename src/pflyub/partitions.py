@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from operator import add, ge
 from typing import Iterator, Sequence
 
@@ -104,17 +105,17 @@ def enumerate_box(c: int, d: int) -> Iterator[Partition]:
     """
     if c < 0 or d < 0:
         raise ValueError("box dimensions must be nonnegative")
-    for parts in _box(c, d):
-        yield Partition(parts, length=c)
+    return (Partition(parts) for parts in _weakly_decreasing(c, 0, d))
 
 
-def _box(rows: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if rows == 0:
-        yield ()
-        return
-    for v in range(cap, -1, -1):
-        for rest in _box(rows - 1, v):
-            yield (v,) + rest
+def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing tuples of the given length with entries in [lo, hi],
+    in lexicographically descending order; just () at length 0."""
+    return combinations_with_replacement(range(hi, lo - 1, -1), length)
+
+
+def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(zip(v, v)))
 
 
 def double_columns(z: Partition) -> Partition:
@@ -123,11 +124,7 @@ def double_columns(z: Partition) -> Partition:
     On Young diagrams this doubles every column length; the result has ambient
     length 2 * len(z).
     """
-    doubled = []
-    for p in z.parts:
-        doubled.append(p)
-        doubled.append(p)
-    return Partition(doubled, length=2 * len(z))
+    return Partition(_doubled(z.parts))
 
 
 def conjugate(z: Partition) -> Partition:
@@ -181,5 +178,5 @@ def gaussian_binomial_oracle(a: int, b: int) -> BiLaurentPoly:
     """binom(a, b)_q by brute force: sum of q^|x| over partitions x in an (a-b) x b box."""
     if b < 0 or a < b:
         raise ValueError(f"gaussian_binomial_oracle requires a >= b >= 0, got ({a}, {b})")
-    sizes = Counter(map(sum, _box(a - b, b)))
+    sizes = Counter(map(sum, _weakly_decreasing(a - b, 0, b)))
     return BiLaurentPoly({(size, 0): count for size, count in sizes.items()})

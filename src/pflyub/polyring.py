@@ -109,7 +109,10 @@ class BiLaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other: int) -> BiLaurentPoly:
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other: BiLaurentPoly | int) -> BiLaurentPoly:
         other = _coerce(other)
@@ -174,6 +177,8 @@ class BiLaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:  # a constant == its int, so it must hash like it
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

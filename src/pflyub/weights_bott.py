@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
 from operator import add, neg, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import VerificationError
+from .partitions import _doubled, _weakly_decreasing
 
 
 class DominantWeight:
@@ -152,19 +152,6 @@ def in_B(weight: DominantWeight, s: int, n: int) -> bool:
     """Membership of a length-n dominant weight in B(s, n)."""
     _check_s(s, n)
     return _in_B(weight.entries, s, n)
-
-
-def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    if lo > hi:
-        return
-    yield from combinations_with_replacement(range(hi, lo - 1, -1), length)
-
-
-def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(zip(v, v)))
 
 
 def _enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:

@@ -5,7 +5,7 @@ import pytest
 
 import pflyub.lyubeznik as ly
 from pflyub.cli import main
-from pflyub.errors import PathMismatchError, TableInvariantError
+from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import (
     L_closed,
     L_composed,
@@ -190,6 +190,35 @@ class TestVerifyAll:
         report = verify_all(13)
         assert report["pass"] is True
         assert all(s["error"] is None for s in report["suites"])
+
+    def test_full_range_counts(self):
+        report = verify_all(13)
+        counts = {s["name"]: s["checked"] for s in report["suites"]}
+        assert counts == {
+            "two_path_tables": 42,
+            "gaussian_binomials": 120,
+            "kgroup_identities": 73,
+            "origin_splices": 100,
+            "ext_series": 134,
+            "bott_pushforward": 14,
+            "character_limits": 6,
+        }
+
+    def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch):
+        real = ly.weights_bott.verify_pushforward
+
+        def broken(m, p, bound):
+            if (m, p) == (2, 1):
+                raise VerificationError("pushforward(m=2, p=1): injected")
+            return real(m, p, bound)
+
+        monkeypatch.setattr(ly.weights_bott, "verify_pushforward", broken)
+        report = ly.verify_all(4)
+        suite = next(s for s in report["suites"] if s["name"] == "bott_pushforward")
+        assert suite["pass"] is False
+        assert suite["checked"] == 3
+        assert suite["error"] == "VerificationError: pushforward(m=2, p=1): injected"
+        assert all(s["pass"] for s in report["suites"] if s["name"] != "bott_pushforward")
 
     def test_unexpected_exception_is_recorded(self, monkeypatch):
         def broken(m, a, b):

@@ -66,6 +66,13 @@ class TestEnumerateBox:
             assert all(part <= d for part in p.parts)
             seen.add(p.profile)
         assert len(seen) == comb(c + d, d)
+        parts = [p.parts for p in enumerate_box(c, d)]
+        assert all(x > y for x, y in zip(parts, parts[1:]))
+
+    @pytest.mark.parametrize("c,d", [(-1, 2), (2, -1)])
+    def test_bad_box_raises_at_the_call(self, c, d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_box(c, d)
 
 
 class TestDominates:

@@ -88,6 +88,21 @@ def test_non_integer_rejected():
         BiLaurentPoly({(0, 0): 1.5})
 
 
+def test_rsub_non_integer_is_not_implemented():
+    with pytest.raises(TypeError, match="'float' and 'BiLaurentPoly'"):
+        1.5 - Q
+    assert 3 - Q == BiLaurentPoly.const(3) - Q
+
+
+def test_constants_hash_like_their_ints():
+    for c in (-2, -1, 0, 1, 7):
+        assert BiLaurentPoly.const(c) == c
+        assert hash(BiLaurentPoly.const(c)) == hash(c)
+    assert len({ONE, 1}) == 1
+    assert len({ZERO, 0}) == 1
+    assert hash(Q) == hash(BiLaurentPoly.q(1))
+
+
 small_polys = st.dictionaries(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     st.integers(-9, 9),
