@@ -19,9 +19,10 @@ import json
 import sys
 
 from .errors import VerificationError
-from .lyubeznik import L_closed, build_table, verify_all
+from .lyubeznik import build_table, verify_all
 from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial
+from .polyring import BiLaurentPoly
 from .weights_bott import bott
 
 
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
@@ -86,7 +87,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "genfun":
-        print(json.dumps(L_closed(args.n, args.k).to_obj()))
+        print(json.dumps(BiLaurentPoly(build_table(args.n, args.k).entries).to_obj()))
         return 0
 
     if args.command == "localcoh":

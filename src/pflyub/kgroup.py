@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import gaussian_binomial
-from .polyring import BiLaurentPoly
+from .polyring import ZERO, BiLaurentPoly
 
 QBASIS = "Q"
 DBASIS = "D"
@@ -50,28 +50,12 @@ class KClass:
     def m(self) -> int:
         return self.n // 2
 
-    def to_obj(self) -> dict:
-        return {"basis": self.basis, "n": self.n, "coeffs": [c.to_obj() for c in self.coeffs]}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> KClass:
-        return cls(
-            obj["basis"],
-            obj["n"],
-            tuple(BiLaurentPoly.from_obj(c) for c in obj["coeffs"]),
-        )
-
 
 def q_to_d(c: KClass) -> KClass:
     """Rewrite a Q-basis class in the D-basis via [Q_p] = sum_{s<=p} [D_s]."""
     if c.basis != QBASIS:
         raise ValueError("q_to_d expects a Q-basis class")
-    coeffs = []
-    for s in range(c.m + 1):
-        total = BiLaurentPoly.zero()
-        for p in range(s, c.m + 1):
-            total = total + c.coeffs[p]
-        coeffs.append(total)
+    coeffs = [sum(c.coeffs[s:], ZERO) for s in range(c.m + 1)]
     return KClass(DBASIS, c.n, tuple(coeffs))
 
 
@@ -92,7 +76,7 @@ def localcoh_class_even_Q(m: int, k: int) -> KClass:
     n = 2m even, in the Q-basis, graded by q^(cohomological degree)."""
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
-    coeffs = [BiLaurentPoly.zero() for _ in range(m + 1)]
+    coeffs = [ZERO] * (m + 1)
     if k == m - 1:
         # hypersurface case: the localization quotient sits in degree 1
         coeffs[m - 1] = BiLaurentPoly.q(1)
@@ -110,7 +94,7 @@ def localcoh_class_even_D(m: int, k: int) -> KClass:
     if not 0 <= k <= m - 2:
         raise ValueError(f"require 0 <= k <= m-2, got k={k}, m={m}")
     shift = 2 * (m - k) ** 2 - (m - k)
-    coeffs = [BiLaurentPoly.zero() for _ in range(m + 1)]
+    coeffs = [ZERO] * (m + 1)
     for s in range(k + 1):
         coeffs[s] = BiLaurentPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
     return KClass(DBASIS, 2 * m, tuple(coeffs))
@@ -122,7 +106,7 @@ def localcoh_class_odd_D_reversed(m: int, k: int) -> KClass:
     q^(k(2k+3) - 2p(2k-2m+1)) * binom(m-p-1, k-p)_{q^4}."""
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
-    coeffs = [BiLaurentPoly.zero() for _ in range(m + 1)]
+    coeffs = [ZERO] * (m + 1)
     for p in range(k + 1):
         shift = k * (2 * k + 3) - 2 * p * (2 * k - 2 * m + 1)
         coeffs[p] = BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 1, k - p, power=4)

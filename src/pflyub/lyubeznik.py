@@ -16,8 +16,9 @@ basis module that occurs, and are computed as their lists of factor pairs
 ``build_table`` compares the two lists, expands only the closed one (both,
 if the lists differ), and refuses to emit unless the expansions agree
 exactly; it then checks the structural invariants: entries positive,
-0 <= i <= j <= dim, and the corner entry lambda_{dim,dim} = 1 where
-dim = k(2n-2k-1).
+0 <= i <= j <= dim, the corner entry lambda_{dim,dim} = 1 where
+dim = k(2n-2k-1), and the Euler characteristic
+sum (-1)^(i-j) lambda_{i,j} = 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .kgroup import (
 )
 from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial
-from .polyring import BiLaurentPoly
+from .polyring import ZERO, BiLaurentPoly
 
 
 @dataclass
@@ -46,7 +47,6 @@ class LyubeznikTable:
     n: int
     k: int
     dim: int
-    ambient: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -62,29 +62,32 @@ class LyubeznikTable:
             raise TableInvariantError(
                 self.n, self.k, f"corner entry is {corner}, expected 1", (self.dim, self.dim)
             )
+        # H^i_m H^(N-j)_I(S) => H^(i+N-j)_m(S), which is E in degree N alone, so the sum is 1
+        euler = sum(-lam if (i + j) % 2 else lam for (i, j), lam in self.entries.items())
+        if euler != 1:
+            raise TableInvariantError(self.n, self.k, f"Euler characteristic is {euler}, expected 1")
+
+    def _rows(self):
+        """((i, j), lambda) for every entry, sorted by (i, j)."""
+        keys = sorted(self.entries)  # sorting the keys alone is much faster than the items
+        return zip(keys, map(self.entries.__getitem__, keys))
 
     def to_obj(self) -> dict:
         return {
             "n": self.n,
             "k": self.k,
             "dim": self.dim,
-            "entries": [
-                {"i": i, "j": j, "lambda": self.entries[(i, j)]}
-                for (i, j) in sorted(self.entries)
-            ],
+            "entries": [{"i": i, "j": j, "lambda": lam} for (i, j), lam in self._rows()],
         }
 
     def to_json(self) -> str:
         """The same bytes as ``json.dumps(self.to_obj())``, formatted directly."""
-        keys = sorted(self.entries)  # sorting the keys alone is much faster than the items
-        values = map(self.entries.__getitem__, keys)
-        rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {lam}}}' for (i, j), lam in zip(keys, values)])
+        rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {lam}}}' for (i, j), lam in self._rows()])
         return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{rows}]}}'
 
     def to_csv(self) -> str:
         lines = ["i,j,lambda"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i},{j},{self.entries[(i, j)]}")
+        lines += [f"{i},{j},{lam}" for (i, j), lam in self._rows()]
         return "\n".join(lines) + "\n"
 
     def to_latex(self) -> str:
@@ -156,7 +159,7 @@ def _composed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly
     else:
         cls = localcoh_class_odd_D_reversed(m, k)
         h = lambda p: h0_D_odd(m, p)
-    return [(h(p), coeff) for p, coeff in enumerate(cls.coeffs) if not coeff.is_zero()]
+    return [(h(p), coeff) for p, coeff in enumerate(cls.coeffs) if coeff]
 
 
 def _expand(factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> dict[tuple[int, int], int]:
@@ -189,7 +192,7 @@ def build_table(n: int, k: int) -> LyubeznikTable:
             key = min(differ)
             raise PathMismatchError(n, k, key, entries.get(key, 0), other.get(key, 0))
     dim = k * (2 * n - 2 * k - 1)
-    table = LyubeznikTable(n=n, k=k, dim=dim, ambient=comb(n, 2), entries=entries)
+    table = LyubeznikTable(n=n, k=k, dim=dim, entries=entries)
     table.validate()
     return table
 
@@ -270,7 +273,7 @@ def _kgroup_checks(m_max: int, m_max_swap: int):
                     shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
                     expected.append(BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
                 else:
-                    expected.append(BiLaurentPoly.zero())
+                    expected.append(ZERO)
             _require(
                 reversed_cls == kgroup.KClass("Q", 2 * m, tuple(expected)),
                 f"grading reversal closed form fails at (m={m}, k={k})",
@@ -305,17 +308,13 @@ def _ext_checks(m_max: int):
                 )
                 yield
     for m in range(1, 6):
-        for k in range(1, m + 1):
-            a = m - k
-            if not 1 <= a <= m:
-                continue
+        for a in range(m - 1, 0, -1):
             for e in range(5):
                 rect = ext_mult.zset_rectangle(m, a, e)
-                if a + 1 <= m:
-                    _require(
-                        not (rect & ext_mult.zset_thickened(m, a + 1, e)),
-                        f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
-                    )
+                _require(
+                    not (rect & ext_mult.zset_thickened(m, a + 1, e)),
+                    f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
+                )
                 thick = ext_mult.zset_thickened(m, a, e)
                 sentinel = ext_mult.ZPair(partitions.Partition((), length=m), m - 1)
                 _require(

@@ -7,7 +7,7 @@ Coefficients are Python integers, hence exact at any size.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class BiLaurentPoly:
@@ -26,10 +26,6 @@ class BiLaurentPoly:
         self._terms = data
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> BiLaurentPoly:
-        return cls()
 
     @classmethod
     def const(cls, c: int) -> BiLaurentPoly:
@@ -58,9 +54,6 @@ class BiLaurentPoly:
     def coeff(self, eq: int, ew: int = 0) -> int:
         """The coefficient of q**eq * w**ew (zero if absent)."""
         return self._terms.get((eq, ew), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_q_only(self) -> bool:
         """True when no term involves w."""
@@ -157,16 +150,6 @@ class BiLaurentPoly:
         """JSON-ready term list [{"eq": ..., "ew": ..., "c": ...}] sorted by (eq, ew)."""
         return [{"eq": eq, "ew": ew, "c": self._terms[(eq, ew)]} for (eq, ew) in self.support()]
 
-    @classmethod
-    def from_obj(cls, obj: Iterable[Mapping[str, int]]) -> BiLaurentPoly:
-        data: dict[tuple[int, int], int] = {}
-        for item in obj:
-            key = (item["eq"], item["ew"])
-            if key in data:
-                raise ValueError(f"duplicate exponent pair {key}")
-            data[key] = item["c"]
-        return cls(data)
-
     # -- equality & display --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -225,7 +208,7 @@ def _raw(data: dict[tuple[int, int], int]) -> BiLaurentPoly:
     return p
 
 
-ZERO = BiLaurentPoly.zero()
+ZERO = BiLaurentPoly()
 ONE = BiLaurentPoly.const(1)
 Q = BiLaurentPoly.q()
 W = BiLaurentPoly.w()

@@ -49,10 +49,6 @@ class TestKClassValidation:
         with pytest.raises(ValueError):
             KClass(DBASIS, 4, (BiLaurentPoly.w(1), ZERO, ZERO))
 
-    def test_serialization_roundtrip(self):
-        c = localcoh_class_odd_D_reversed(2, 1)
-        assert KClass.from_obj(c.to_obj()) == c
-
 
 class TestBasisChange:
     def test_q0_maps_to_d0(self):

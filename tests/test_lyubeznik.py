@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
+from pflyub import partitions
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import (
@@ -70,7 +75,6 @@ class TestBuildTable:
     def test_n6_k1(self):
         table = build_table(6, 1)
         assert table.dim == 9
-        assert table.ambient == 15
         assert table.entries == {(0, 5): 1, (5, 9): 1, (9, 9): 1}
 
     def test_n5_k1(self):
@@ -119,15 +123,32 @@ class TestBuildTable:
         assert ly.build_table(n, k).entries == expected
 
     def test_invariant_violations_located(self):
-        bad = LyubeznikTable(n=6, k=1, dim=9, ambient=15, entries={(9, 9): 1, (7, 3): 1})
+        bad = LyubeznikTable(n=6, k=1, dim=9, entries={(9, 9): 1, (7, 3): 1})
         with pytest.raises(TableInvariantError, match=r"\(7, 3\)"):
             bad.validate()
-        missing_corner = LyubeznikTable(n=6, k=1, dim=9, ambient=15, entries={(0, 5): 1})
+        missing_corner = LyubeznikTable(n=6, k=1, dim=9, entries={(0, 5): 1})
         with pytest.raises(TableInvariantError, match="corner"):
             missing_corner.validate()
-        negative = LyubeznikTable(n=4, k=0, dim=0, ambient=6, entries={(0, 0): -1})
+        negative = LyubeznikTable(n=4, k=0, dim=0, entries={(0, 0): -1})
         with pytest.raises(TableInvariantError, match="positive"):
             negative.validate()
+        # lambda_{5,9} doubled: every other invariant holds
+        euler_two = LyubeznikTable(n=6, k=1, dim=9, entries={(0, 5): 1, (5, 9): 2, (9, 9): 1})
+        with pytest.raises(TableInvariantError, match="Euler characteristic is 2, expected 1"):
+            euler_two.validate()
+
+    def test_euler_characteristic_catches_an_error_both_routes_share(self, monkeypatch):
+        real = partitions._gauss
+
+        def broken(a, b):
+            coeffs = real(a, b)
+            return (coeffs[0] + 1,) + coeffs[1:] if (a, b) == (3, 1) else coeffs
+
+        monkeypatch.setattr(partitions, "_gauss", broken)
+        assert ly._closed_factors(8, 1) == ly._composed_factors(8, 1)
+        for n in (7, 8):
+            with pytest.raises(TableInvariantError, match=rf"table\({n},1\): Euler characteristic is 2"):
+                ly.build_table(n, 1)
 
 
 class TestEmitters:
@@ -258,6 +279,24 @@ class TestCli:
         assert main(["genfun", "--n", "6", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out) == [{"eq": 14, "ew": 14, "c": 1}]
 
+    def test_genfun_bytes(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(2, 41):
+            for k in valid_k_range(n):
+                assert main(["genfun", "--n", str(n), "--k", str(k)]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == "ecf4660b57d978e75b0f7f5525c92220a4cfaf0072c438114652e6af6acf3472"
+
+    def test_genfun_refuses_a_route_mismatch(self, capsys, monkeypatch):
+        real = ly._closed_factors
+        monkeypatch.setattr(
+            ly, "_closed_factors", lambda n, k: real(n, k) + ([(ONE, ONE)] if (n, k) == (4, 1) else [])
+        )
+        assert main(["genfun", "--n", "4", "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "L(4,1)" in captured.err
+
     def test_localcoh(self, capsys):
         assert main(["localcoh", "--parity", "odd", "--m", "2", "--object", "D", "--index", "1"]) == 0
         assert json.loads(capsys.readouterr().out) == [
@@ -299,6 +338,19 @@ class TestCli:
         assert main(["gaussian", "--a", "1", "--b", "2"]) == 2
         assert main(["bott", "--gamma", "not,numbers"]) == 2
 
+    # sizes past sys.maxsize fail before anything is allocated
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian", "--a", "100000000000000000000", "--b", "1"],
+            ["lyubeznik", "--n", "200000000000000000000", "--k", "1"],
+        ],
+    )
+    def test_oversized_arguments_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
         real = ly._closed_factors
         monkeypatch.setattr(
@@ -306,3 +358,37 @@ class TestCli:
         )
         assert main(["verify", "--n-max", "4"]) == 1
         assert "two_path_tables: FAIL" in capsys.readouterr().out
+
+
+_N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))
+_CLI_ARGS = st.one_of(
+    st.builds(lambda nk, fmt: ["lyubeznik", *nk, f"--format={fmt}"], _N_K, st.sampled_from(["json", "csv", "latex"])),
+    _N_K.map(lambda nk: ["genfun", *nk]),
+    st.builds(
+        lambda parity, obj, m, index: ["localcoh", f"--parity={parity}", f"--object={obj}", f"--m={m}", f"--index={index}"],
+        st.sampled_from(["even", "odd"]),
+        st.sampled_from(["Q", "D", "pfpole"]),
+        st.integers(-1, 12),
+        st.integers(-2, 14),
+    ),
+    st.builds(
+        lambda a, b, power: ["gaussian", f"--a={a}", f"--b={b}", f"--power={power}"],
+        st.integers(-2, 60),
+        st.integers(-2, 60),
+        st.integers(-1, 5),
+    ),
+    st.lists(st.integers(-10, 10), min_size=1, max_size=6).map(
+        lambda gamma: ["bott", "--gamma=" + ",".join(map(str, gamma))]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLI_ARGS)
+def test_cli_answers_or_refuses_in_one_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
