@@ -9,21 +9,19 @@ Subcommands:
     bott      --gamma g1,g2,...,gn
     verify    [--n-max N]
 
-Exit codes: 0 success, 1 verification failure, 2 argument error.
+Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
+error (an unexpected exception, reported as one stderr line).
+
+Each command imports the modules it runs inside its branch of ``_dispatch``,
+so start-up loads only those (``verify`` loads every module).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import VerificationError
-from .lyubeznik import build_table, verify_all
-from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
-from .partitions import gaussian_binomial
-from .polyring import BiLaurentPoly
-from .weights_bott import bott
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,10 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: neither a bad argument nor a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lyubeznik":
+        from .lyubeznik import build_table
+
         table = build_table(args.n, args.k)
         if args.format == "json":
             print(table.to_json())
@@ -87,10 +90,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "genfun":
-        print(json.dumps(BiLaurentPoly(build_table(args.n, args.k).entries).to_obj()))
+        from .lyubeznik import build_table
+
+        print(build_table(args.n, args.k).to_genfun_json())
         return 0
 
     if args.command == "localcoh":
+        import json
+
+        from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
+
         key = (args.parity, args.object)
         table = {
             ("even", "Q"): h0_Q,
@@ -104,10 +113,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "gaussian":
+        import json
+
+        from .partitions import gaussian_binomial
+
         print(json.dumps(gaussian_binomial(args.a, args.b, args.power).to_obj()))
         return 0
 
     if args.command == "bott":
+        from .weights_bott import bott
+
         gamma = [int(part) for part in args.gamma.split(",")]
         result = bott(gamma)
         if result.is_zero:
@@ -118,6 +133,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
+        import json
+
+        from .lyubeznik import verify_all
+
         report = verify_all(args.n_max)
         for suite in report["suites"]:
             status = "PASS" if suite["pass"] else "FAIL"

@@ -17,8 +17,6 @@ for 0 <= k <= m-2, and [Q_{m-1}] * q for the hypersurface case k = m-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import gaussian_binomial
 from .polyring import ZERO, BiLaurentPoly
 
@@ -26,15 +24,18 @@ QBASIS = "Q"
 DBASIS = "D"
 
 
-@dataclass(frozen=True)
 class KClass:
-    """Coefficients (q-polynomials) of a class in the {Q_p} or {D_s} basis."""
+    """Coefficients (q-polynomials) of a class in the {Q_p} or {D_s} basis.
 
-    basis: str
-    n: int
-    coeffs: tuple[BiLaurentPoly, ...]
+    Immutable and hashable; equal when basis, ambient size and coefficients
+    are equal."""
 
-    def __post_init__(self):
+    __slots__ = ("basis", "n", "coeffs")
+
+    def __init__(self, basis: str, n: int, coeffs: tuple[BiLaurentPoly, ...]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.basis not in (QBASIS, DBASIS):
             raise ValueError(f"basis must be {QBASIS!r} or {DBASIS!r}, got {self.basis!r}")
         if self.basis == QBASIS and self.n % 2:
@@ -45,6 +46,26 @@ class KClass:
         for c in self.coeffs:
             if not c.is_q_only():
                 raise ValueError("basis coefficients must be polynomials in q only")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.basis, self.n, self.coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"KClass(basis={self.basis!r}, n={self.n!r}, coeffs={self.coeffs!r})"
 
     @property
     def m(self) -> int:

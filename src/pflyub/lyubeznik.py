@@ -23,10 +23,9 @@ sum (-1)^(i-j) lambda_{i,j} = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
-from . import characters, ext_mult, kgroup, origin_localcoh, partitions, weights_bott
+from . import kgroup, partitions
 from .errors import PathMismatchError, TableInvariantError, VerificationError
 from .kgroup import (
     localcoh_class_even_D,
@@ -40,14 +39,26 @@ from .partitions import gaussian_binomial
 from .polyring import ZERO, BiLaurentPoly
 
 
-@dataclass
 class LyubeznikTable:
-    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring."""
+    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring.
 
-    n: int
-    k: int
-    dim: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    Mutable, so unhashable; equal when all four fields are equal."""
+
+    __slots__ = ("n", "k", "dim", "entries")
+
+    def __init__(self, n: int, k: int, dim: int, entries: dict[tuple[int, int], int] | None = None):
+        self.n = n
+        self.k = k
+        self.dim = dim
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.dim, self.entries) == (other.n, other.k, other.dim, other.entries)
+
+    def __repr__(self) -> str:
+        return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, dim={self.dim!r}, entries={self.entries!r})"
 
     def validate(self) -> None:
         for (i, j), lam in self.entries.items():
@@ -84,6 +95,12 @@ class LyubeznikTable:
         """The same bytes as ``json.dumps(self.to_obj())``, formatted directly."""
         rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {lam}}}' for (i, j), lam in self._rows()])
         return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{rows}]}}'
+
+    def to_genfun_json(self) -> str:
+        """L_k(q, w) as JSON terms sorted by (eq, ew): the same bytes as
+        ``json.dumps(BiLaurentPoly(self.entries).to_obj())``, formatted directly."""
+        terms = ", ".join([f'{{"eq": {i}, "ew": {j}, "c": {lam}}}' for (i, j), lam in self._rows()])
+        return f"[{terms}]"
 
     def to_csv(self) -> str:
         lines = ["i,j,lambda"]
@@ -206,6 +223,8 @@ def valid_k_range(n: int) -> range:
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
+# ``ext_mult``, ``weights_bott`` and ``characters`` are imported inside the
+# suites that use them, so that building a table never loads them.
 
 
 def _suite(name: str, checks) -> dict:
@@ -299,6 +318,8 @@ def _origin_checks(m_max: int):
 
 
 def _ext_checks(m_max: int):
+    from . import ext_mult
+
     for m in range(1, m_max + 1):
         for a in range(1, m + 1):
             for b in (2 * a - 1, 2 * a, 2 * a + 3):
@@ -325,6 +346,8 @@ def _ext_checks(m_max: int):
 
 
 def _bott_checks(m_max: int):
+    from . import weights_bott
+
     for m in range(1, m_max + 1):
         for p in range(m + 1):
             weights_bott.verify_pushforward(m, p, 2 * m + 6)
@@ -332,6 +355,8 @@ def _bott_checks(m_max: int):
 
 
 def _character_checks(m_max: int, bound: int):
+    from . import characters
+
     for m in range(1, m_max + 1):
         for k in range(m):
             characters.verify_limitpfaff(m, k, bound)

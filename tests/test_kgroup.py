@@ -49,6 +49,17 @@ class TestKClassValidation:
         with pytest.raises(ValueError):
             KClass(DBASIS, 4, (BiLaurentPoly.w(1), ZERO, ZERO))
 
+    def test_frozen_and_hashable(self):
+        cls = localcoh_class_even_Q(3, 1)
+        with pytest.raises(AttributeError):
+            cls.n = 8
+        with pytest.raises(AttributeError):
+            cls.extra = 1
+        twin = KClass(cls.basis, cls.n, tuple(cls.coeffs))
+        assert twin == cls and twin is not cls
+        assert hash(twin) == hash(cls)
+        assert cls != reverse_class(cls, 15)
+
 
 class TestBasisChange:
     def test_q0_maps_to_d0(self):

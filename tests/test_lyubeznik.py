@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
-from pflyub import partitions
+from pflyub import ext_mult, partitions, weights_bott
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import (
@@ -150,6 +150,17 @@ class TestBuildTable:
             with pytest.raises(TableInvariantError, match=rf"table\({n},1\): Euler characteristic is 2"):
                 ly.build_table(n, 1)
 
+    def test_table_equality_is_fieldwise_and_unhashable(self):
+        table = build_table(6, 1)
+        assert table == LyubeznikTable(6, 1, 9, dict(table.entries))
+        assert table != LyubeznikTable(6, 1, 10, dict(table.entries))
+        assert table != LyubeznikTable(6, 1, 9, {(9, 9): 1})
+        assert LyubeznikTable(6, 1, 9).entries == {}
+        table.dim = 10  # mutable
+        assert table.dim == 10
+        with pytest.raises(TypeError):
+            hash(table)
+
 
 class TestEmitters:
     def test_json_schema(self):
@@ -179,6 +190,12 @@ class TestEmitters:
         for k in valid_k_range(n):
             table = build_table(n, k)
             assert table.to_json() == json.dumps(table.to_obj())
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_genfun_direct_matches_dumps(self, n):
+        for k in valid_k_range(n):
+            table = build_table(n, k)
+            assert table.to_genfun_json() == json.dumps(BiLaurentPoly(table.entries).to_obj())
 
 
 class TestVerifyAll:
@@ -226,14 +243,14 @@ class TestVerifyAll:
         }
 
     def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch):
-        real = ly.weights_bott.verify_pushforward
+        real = weights_bott.verify_pushforward
 
         def broken(m, p, bound):
             if (m, p) == (2, 1):
                 raise VerificationError("pushforward(m=2, p=1): injected")
             return real(m, p, bound)
 
-        monkeypatch.setattr(ly.weights_bott, "verify_pushforward", broken)
+        monkeypatch.setattr(weights_bott, "verify_pushforward", broken)
         report = ly.verify_all(4)
         suite = next(s for s in report["suites"] if s["name"] == "bott_pushforward")
         assert suite["pass"] is False
@@ -245,7 +262,7 @@ class TestVerifyAll:
         def broken(m, a, b):
             raise TypeError("broken step")
 
-        monkeypatch.setattr(ly.ext_mult, "ext_series_enum", broken)
+        monkeypatch.setattr(ext_mult, "ext_series_enum", broken)
         report = ly.verify_all(4)
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "ext_series")
@@ -358,6 +375,16 @@ class TestCli:
         )
         assert main(["verify", "--n-max", "4"]) == 1
         assert "two_path_tables: FAIL" in capsys.readouterr().out
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(n, k):
+            raise TypeError("broken build")
+
+        monkeypatch.setattr(ly, "build_table", broken)
+        assert main(["lyubeznik", "--n", "6", "--k", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: TypeError: broken build\n"
+        assert "Traceback" not in err
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))
