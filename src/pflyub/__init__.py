@@ -33,7 +33,7 @@ _HOME = {
             "q_to_d",
             "reverse_class",
         ),
-        "lyubeznik": ("L_closed", "L_composed", "LyubeznikTable", "build_table", "verify_all"),
+        "lyubeznik": ("L_closed", "L_composed", "LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
         "partitions": (
             "Partition",
@@ -46,6 +46,7 @@ _HOME = {
         ),
         "polyring": ("BiLaurentPoly",),
         "weights_bott": ("BottResult", "DominantWeight", "bott", "dual", "enumerate_B", "in_B", "verify_pushforward"),
+        "verify": ("verify_all",),
     }.items()
     for name in names
 }

@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
@@ -135,7 +135,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         import json
 
-        from .lyubeznik import verify_all
+        from .verify import verify_all
 
         report = verify_all(args.n_max)
         for suite in report["suites"]:

@@ -25,18 +25,11 @@ from __future__ import annotations
 
 from math import comb
 
-from . import kgroup, partitions
-from .errors import PathMismatchError, TableInvariantError, VerificationError
-from .kgroup import (
-    localcoh_class_even_D,
-    localcoh_class_even_Q,
-    localcoh_class_odd_D_reversed,
-    q_to_d,
-    reverse_class,
-)
-from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
+from .errors import PathMismatchError, TableInvariantError
+from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D_reversed, reverse_class
+from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
-from .polyring import ZERO, BiLaurentPoly
+from .polyring import BiLaurentPoly
 
 
 class LyubeznikTable:
@@ -218,164 +211,3 @@ def valid_k_range(n: int) -> range:
     """The k for which the rank <= 2k locus is a proper subvariety with a
     well-defined table: 0 <= k <= floor(n/2) - 1."""
     return range(n // 2)
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-# ``ext_mult``, ``weights_bott`` and ``characters`` are imported inside the
-# suites that use them, so that building a table never loads them.
-
-
-def _suite(name: str, checks) -> dict:
-    """Run one suite, a generator that yields once after each check passes;
-    stop at the suite's first failure but never propagate."""
-    checked = 0
-    try:
-        for _ in checks:
-            checked += 1
-    except Exception as exc:  # any failure, expected or not, is this suite's alone
-        error = f"{type(exc).__name__}: {exc}"
-        return {"name": name, "pass": False, "checked": checked, "error": error}
-    return {"name": name, "pass": True, "checked": checked, "error": None}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise VerificationError(message)
-
-
-def _two_path_checks(n_max: int):
-    for n in range(2, n_max + 1):
-        for k in valid_k_range(n):
-            build_table(n, k)
-            yield
-
-
-def _gaussian_checks(a_max: int):
-    for a in range(a_max + 1):
-        for b in range(a + 1):
-            g = gaussian_binomial(a, b)
-            _require(
-                g == partitions.gaussian_binomial_oracle(a, b),
-                f"binomial({a},{b}) disagrees with the box enumeration",
-            )
-            _require(
-                g == gaussian_binomial(a, a - b),
-                f"binomial symmetry fails at ({a},{b})",
-            )
-            _require(
-                g.reverse(b * (a - b)) == g,
-                f"binomial inversion fails at ({a},{b})",
-            )
-            if a > b > 0:
-                pascal = gaussian_binomial(a - 1, b - 1) + BiLaurentPoly.q(b) * gaussian_binomial(a - 1, b)
-                _require(g == pascal, f"Pascal identity fails at ({a},{b})")
-            yield
-
-
-def _kgroup_checks(m_max: int, m_max_swap: int):
-    for m in range(2, m_max + 1):
-        for k in range(m - 1):
-            _require(
-                q_to_d(localcoh_class_even_Q(m, k)) == localcoh_class_even_D(m, k),
-                f"Q-to-D decomposition fails at (m={m}, k={k})",
-            )
-            yield
-    for m in range(2, m_max_swap + 1):
-        d = comb(2 * m, 2)
-        for k in range(m - 1):
-            reversed_cls = reverse_class(localcoh_class_even_Q(m, k), d)
-            expected = []
-            for p in range(m + 1):
-                if p <= k:
-                    shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                    expected.append(BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
-                else:
-                    expected.append(ZERO)
-            _require(
-                reversed_cls == kgroup.KClass("Q", 2 * m, tuple(expected)),
-                f"grading reversal closed form fails at (m={m}, k={k})",
-            )
-            yield
-
-
-def _origin_checks(m_max: int):
-    for m in range(1, m_max + 1):
-        for p in range(m):
-            _require(
-                BiLaurentPoly.q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1),
-                f"pole/indecomposable splice fails at (m={m}, p={p})",
-            )
-            yield
-        for s in range(1, m):
-            spliced = h0_pf_pole(m, m - s) + BiLaurentPoly.q(-1) * h0_pf_pole(m, m - s - 1)
-            _require(
-                h0_D_even(m, s) == spliced,
-                f"simple-module splice fails at (m={m}, s={s})",
-            )
-            yield
-
-
-def _ext_checks(m_max: int):
-    from . import ext_mult
-
-    for m in range(1, m_max + 1):
-        for a in range(1, m + 1):
-            for b in (2 * a - 1, 2 * a, 2 * a + 3):
-                _require(
-                    ext_mult.ext_series_enum(m, a, b) == ext_mult.ext_series_closed(m, a, b),
-                    f"Ext series mismatch at (m={m}, a={a}, b={b})",
-                )
-                yield
-    for m in range(1, 6):
-        for a in range(m - 1, 0, -1):
-            for e in range(5):
-                rect = ext_mult.zset_rectangle(m, a, e)
-                _require(
-                    not (rect & ext_mult.zset_thickened(m, a + 1, e)),
-                    f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
-                )
-                thick = ext_mult.zset_thickened(m, a, e)
-                sentinel = ext_mult.ZPair(partitions.Partition((), length=m), m - 1)
-                _require(
-                    (thick - {sentinel}) <= ext_mult.zset_rectangle(m, a, e + 1),
-                    f"Z-set inclusion fails at (m={m}, a={a}, e={e})",
-                )
-                yield
-
-
-def _bott_checks(m_max: int):
-    from . import weights_bott
-
-    for m in range(1, m_max + 1):
-        for p in range(m + 1):
-            weights_bott.verify_pushforward(m, p, 2 * m + 6)
-            yield
-
-
-def _character_checks(m_max: int, bound: int):
-    from . import characters
-
-    for m in range(1, m_max + 1):
-        for k in range(m):
-            characters.verify_limitpfaff(m, k, bound)
-            yield
-
-
-def verify_all(n_max: int) -> dict:
-    """Run every verification suite; the tables cover 2 <= n <= n_max, the
-    module property suites run at their standard ranges.  Returns a structured
-    report; a suite stops at its first failure, the others still run."""
-    if n_max < 2:
-        raise ValueError(f"require n_max >= 2, got {n_max}")
-    suites = [
-        _suite("two_path_tables", _two_path_checks(n_max)),
-        _suite("gaussian_binomials", _gaussian_checks(14)),
-        _suite("kgroup_identities", _kgroup_checks(10, 8)),
-        _suite("origin_splices", _origin_checks(10)),
-        _suite("ext_series", _ext_checks(7)),
-        _suite("bott_pushforward", _bott_checks(4)),
-        _suite("character_limits", _character_checks(3, 6)),
-    ]
-    return {"n_max": n_max, "pass": all(s["pass"] for s in suites), "suites": suites}

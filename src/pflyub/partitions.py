@@ -138,13 +138,19 @@ def conjugate(z: Partition) -> Partition:
     return Partition(cols, length=width)
 
 
+# _gauss(a, b) takes time and memory growing as its degree b(a-b) squared,
+# and a + 1 steps at degree 0 (b = 0 or b = a), where the binomial is 1
+_MAX_DEGREE = 10_000
+
+
 def gaussian_binomial(a: int, b: int, power: int = 1) -> BiLaurentPoly:
     """The Gaussian binomial coefficient binom(a, b)_q, a polynomial in q;
     with ``power``, the same coefficients on q^power (``power=4`` gives the
     binom(a, b)_{q^4} of the local cohomology formulas).
 
-    Requires a >= b >= 0; callers dispatch any special cases before calling.
-    The result has degree power * b(a-b) and nonnegative coefficients.
+    Requires a >= b >= 0 and b(a-b) <= 10 000; callers dispatch any special
+    cases before calling.  The result has degree power * b(a-b) and
+    nonnegative coefficients.
     """
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError("arguments must be integers")
@@ -152,7 +158,11 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> BiLaurentPoly:
         raise ValueError(f"gaussian_binomial requires a >= b >= 0, got ({a}, {b})")
     if not isinstance(power, int) or power < 1:
         raise ValueError("substitution power must be a positive integer")
-    return BiLaurentPoly({(power * e, 0): c for e, c in enumerate(_gauss(a, b))})
+    degree = b * (a - b)
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"binomial({a}, {b}) has degree {degree}, above the limit {_MAX_DEGREE}")
+    coeffs = _gauss(a, b) if degree else (1,)
+    return BiLaurentPoly({(power * e, 0): c for e, c in enumerate(coeffs)})
 
 
 @lru_cache(maxsize=None)

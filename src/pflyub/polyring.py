@@ -7,7 +7,7 @@ Coefficients are Python integers, hence exact at any size.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class BiLaurentPoly:
@@ -32,10 +32,6 @@ class BiLaurentPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, c: int, eq: int = 0, ew: int = 0) -> BiLaurentPoly:
-        return cls({(eq, ew): c})
-
-    @classmethod
     def q(cls, e: int = 1) -> BiLaurentPoly:
         """The monomial q**e (e may be negative)."""
         return cls({(e, 0): 1})
@@ -51,26 +47,12 @@ class BiLaurentPoly:
         """A copy of the term map {(e_q, e_w): coeff}."""
         return dict(self._terms)
 
-    def coeff(self, eq: int, ew: int = 0) -> int:
-        """The coefficient of q**eq * w**ew (zero if absent)."""
-        return self._terms.get((eq, ew), 0)
-
     def is_q_only(self) -> bool:
         """True when no term involves w."""
         return all(ew == 0 for (_, ew) in self._terms)
 
-    def support(self) -> list[tuple[int, int]]:
-        """Exponent pairs with nonzero coefficient, sorted by (e_q, e_w)."""
-        return sorted(self._terms)
-
-    def q_exponents(self) -> list[int]:
-        return sorted(eq for (eq, _) in self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(sorted(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -148,7 +130,7 @@ class BiLaurentPoly:
 
     def to_obj(self) -> list[dict[str, int]]:
         """JSON-ready term list [{"eq": ..., "ew": ..., "c": ...}] sorted by (eq, ew)."""
-        return [{"eq": eq, "ew": ew, "c": self._terms[(eq, ew)]} for (eq, ew) in self.support()]
+        return [{"eq": eq, "ew": ew, "c": self._terms[(eq, ew)]} for (eq, ew) in sorted(self._terms)]
 
     # -- equality & display --------------------------------------------------
 
@@ -166,31 +148,6 @@ class BiLaurentPoly:
 
     def __repr__(self) -> str:
         return f"BiLaurentPoly({self._terms!r})"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for eq, ew in self.support():
-            c = self._terms[(eq, ew)]
-            factors = []
-            if eq:
-                factors.append("q" if eq == 1 else f"q^{eq}")
-            if ew:
-                factors.append("w" if ew == 1 else f"w^{ew}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
 
 
 def _coerce(value: BiLaurentPoly | int) -> BiLaurentPoly:

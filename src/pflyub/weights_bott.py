@@ -76,14 +76,6 @@ class BottResult:
     degree: int | None
     weight: DominantWeight | None
 
-    @classmethod
-    def zero(cls) -> BottResult:
-        return cls(None, None)
-
-    @classmethod
-    def cohomology(cls, degree: int, weight: DominantWeight) -> BottResult:
-        return cls(degree, weight)
-
     @property
     def is_zero(self) -> bool:
         return self.degree is None
@@ -112,8 +104,8 @@ def bott(gamma: Sequence[int]) -> BottResult:
     """Run Bott's algorithm on an arbitrary integer sequence gamma."""
     degree, weight = _bott(gamma)
     if degree is None:
-        return BottResult.zero()
-    return BottResult.cohomology(degree, DominantWeight(weight))
+        return BottResult(None, None)
+    return BottResult(degree, DominantWeight(weight))
 
 
 def _dual(entries: tuple[int, ...]) -> tuple[int, ...]:

@@ -58,7 +58,7 @@ def test_criterion_02_hypersurface_case():
     def check():
         for n in (4, 6, 8, 10, 12):
             d = comb(n, 2)
-            assert L_closed(n, n // 2 - 1) == BiLaurentPoly.monomial(1, d - 1, d - 1)
+            assert L_closed(n, n // 2 - 1) == BiLaurentPoly({(d - 1, d - 1): 1})
 
     _run(2, "even hypersurface closed form", 1.0, check)
 

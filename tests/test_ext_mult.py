@@ -60,7 +60,7 @@ class TestSeries:
         sizes = Counter(x.size() for x in enumerate_box(m - a, a - 1))
         base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
         for size, count in sizes.items():
-            assert series.coeff(base - 4 * size) == count
+            assert series.terms().get((base - 4 * size, 0), 0) == count
 
 
 class TestZSets:

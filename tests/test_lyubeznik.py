@@ -17,13 +17,13 @@ from pflyub.lyubeznik import (
     LyubeznikTable,
     build_table,
     valid_k_range,
-    verify_all,
 )
 from pflyub.polyring import ONE, BiLaurentPoly
+from pflyub.verify import verify_all
 
 
 def mono(eq, ew):
-    return BiLaurentPoly.monomial(1, eq, ew)
+    return BiLaurentPoly({(eq, ew): 1})
 
 
 class TestClosedForm:
@@ -215,7 +215,7 @@ class TestVerifyAll:
             return out
 
         monkeypatch.setattr(ly, "_closed_factors", corrupted)
-        report = ly.verify_all(7)
+        report = verify_all(7)
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "two_path_tables")
         assert suite["pass"] is False
@@ -251,7 +251,7 @@ class TestVerifyAll:
             return real(m, p, bound)
 
         monkeypatch.setattr(weights_bott, "verify_pushforward", broken)
-        report = ly.verify_all(4)
+        report = verify_all(4)
         suite = next(s for s in report["suites"] if s["name"] == "bott_pushforward")
         assert suite["pass"] is False
         assert suite["checked"] == 3
@@ -263,7 +263,7 @@ class TestVerifyAll:
             raise TypeError("broken step")
 
         monkeypatch.setattr(ext_mult, "ext_series_enum", broken)
-        report = ly.verify_all(4)
+        report = verify_all(4)
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "ext_series")
         assert suite["pass"] is False
@@ -377,14 +377,34 @@ class TestCli:
         assert "two_path_tables: FAIL" in capsys.readouterr().out
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(n, k):
-            raise TypeError("broken build")
+        # a KeyError is a bug too: no argument path raises one
+        cases = ((TypeError("broken build"), "TypeError: broken build"), (KeyError((6, 1)), "KeyError: (6, 1)"))
+        for exc, line in cases:
 
-        monkeypatch.setattr(ly, "build_table", broken)
-        assert main(["lyubeznik", "--n", "6", "--k", "1"]) == 3
-        err = capsys.readouterr().err
-        assert err == "internal error: TypeError: broken build\n"
-        assert "Traceback" not in err
+            def broken(n, k):
+                raise exc
+
+            monkeypatch.setattr(ly, "build_table", broken)
+            assert main(["lyubeznik", "--n", "6", "--k", "1"]) == 3
+            err = capsys.readouterr().err
+            assert err == f"internal error: {line}\n"
+            assert "Traceback" not in err
+
+    def test_gaussian_degree_limit_refuses_before_any_work(self, capsys, monkeypatch):
+        def unbounded(a, b):
+            raise AssertionError(f"_gauss({a}, {b}) called")
+
+        monkeypatch.setattr(partitions, "_gauss", unbounded)
+        with pytest.raises(ValueError, match="above the limit"):
+            partitions.gaussian_binomial(201, 100)
+        for argv in (["gaussian", "--a", "201", "--b", "100"], ["lyubeznik", "--n", "1000000000", "--k", "1"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        # degree 0 is the binomial 1, at any a
+        for b in ("0", "1000000000"):
+            assert main(["gaussian", "--a", "1000000000", "--b", b]) == 0
+            assert json.loads(capsys.readouterr().out) == [{"eq": 0, "ew": 0, "c": 1}]
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))

@@ -9,7 +9,7 @@ import pytest
 import pflyub
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pflyub.__file__)))
-VERIFY_ONLY = {"pflyub.weights_bott", "pflyub.characters", "pflyub.ext_mult", "dataclasses"}
+VERIFY_ONLY = {"pflyub.verify", "pflyub.weights_bott", "pflyub.characters", "pflyub.ext_mult", "dataclasses"}
 
 # Runs ``python -m pflyub.cli`` with this script's arguments, then prints the
 # modules of VERIFY_ONLY that were loaded to stderr.

@@ -143,7 +143,7 @@ class TestGaussianBinomial:
         g = pt.gaussian_binomial_oracle(10, 4)
         assert sum(g.terms().values()) == comb(10, 4)
         assert g.reverse(24) == g
-        assert g.q_exponents()[-1] == 24
+        assert max(eq for eq, _ in g.terms()) == 24
 
 
 @pytest.mark.parametrize("a", range(15))
@@ -157,7 +157,7 @@ def test_binomial_identities(a):
         # palindromicity: q^(b(a-b)) g(1/q) = g
         assert g.reverse(b * (a - b)) == g
         # degree and positivity
-        exps = g.q_exponents()
+        exps = sorted(eq for eq, _ in g.terms())
         assert exps and exps[0] == 0 and exps[-1] == b * (a - b)
         assert all(c > 0 for c in g.terms().values())
         # Pascal recurrence

@@ -29,7 +29,7 @@ class TestDominantWeight:
 class TestBott:
     def test_dominant_input_degree_zero(self):
         r = bott((0, 0, 0))
-        assert r == BottResult.cohomology(0, DominantWeight((0, 0, 0)))
+        assert r == BottResult(0, DominantWeight((0, 0, 0)))
         r = bott((5, 2, -1))
         assert r.degree == 0 and r.weight == DominantWeight((5, 2, -1))
 
