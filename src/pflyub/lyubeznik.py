@@ -23,7 +23,9 @@ sum (-1)^(i-j) lambda_{i,j} = 1.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import compress, repeat
+from math import comb, gcd
+from operator import add, and_
 
 from .errors import PathMismatchError, TableInvariantError
 from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D_reversed, reverse_class
@@ -31,86 +33,109 @@ from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
 from .polyring import BiLaurentPoly
 
+# The most work build_table takes on: n // 2 for the n // 2 + 1 basis modules
+# of the composed route's class, plus one unit per term product of the
+# expansion.  The largest table with n <= 56 needs 143,688.
+_MAX_WORK = 1_000_000
+
 
 class LyubeznikTable:
-    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring.
+    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
+    rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
+    nonzero lambda_{i,j} at those j.
 
     Mutable, so unhashable; equal when all four fields are equal."""
 
-    __slots__ = ("n", "k", "dim", "entries")
+    __slots__ = ("n", "k", "dim", "rows")
 
-    def __init__(self, n: int, k: int, dim: int, entries: dict[tuple[int, int], int] | None = None):
+    def __init__(self, n: int, k: int, dim: int, rows: dict[int, tuple[list[int], list[int]]] | None = None):
         self.n = n
         self.k = k
         self.dim = dim
-        self.entries = {} if entries is None else entries
+        self.rows = {} if rows is None else rows
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """{(i, j): lambda_{i,j}}, built from the rows on each read."""
+        return _entries(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.k, self.dim, self.entries) == (other.n, other.k, other.dim, other.entries)
+        return (self.n, self.k, self.dim, self.rows) == (other.n, other.k, other.dim, other.rows)
 
     def __repr__(self) -> str:
-        return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, dim={self.dim!r}, entries={self.entries!r})"
+        return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, dim={self.dim!r}, rows={self.rows!r})"
 
     def validate(self) -> None:
-        for (i, j), lam in self.entries.items():
-            if lam <= 0:
-                raise TableInvariantError(self.n, self.k, f"entry {lam} not positive", (i, j))
-            if not 0 <= i <= j <= self.dim:
-                raise TableInvariantError(
-                    self.n, self.k, f"index outside 0 <= i <= j <= {self.dim}", (i, j)
-                )
-        corner = self.entries.get((self.dim, self.dim))
-        if corner != 1:
-            raise TableInvariantError(
-                self.n, self.k, f"corner entry is {corner}, expected 1", (self.dim, self.dim)
-            )
+        n, k, dim = self.n, self.k, self.dim
         # H^i_m H^(N-j)_I(S) => H^(i+N-j)_m(S), which is E in degree N alone, so the sum is 1
-        euler = sum(-lam if (i + j) % 2 else lam for (i, j), lam in self.entries.items())
+        euler = 0
+        for i, (js, lams) in self.rows.items():
+            if min(lams) <= 0:
+                j, lam = next((j, lam) for j, lam in zip(js, lams) if lam <= 0)
+                raise TableInvariantError(n, k, f"entry {lam} not positive", (i, j))
+            if not (0 <= i <= js[0] and js[-1] <= dim):
+                j = js[0] if i < 0 or js[0] < i else next(j for j in js if j > dim)
+                raise TableInvariantError(n, k, f"index outside 0 <= i <= j <= {dim}", (i, j))
+            total = sum(lams)
+            odd_j = sum(compress(lams, map(and_, js, repeat(1))))
+            odd = total - odd_j if i % 2 else odd_j  # the lambda_{i,j} with i + j odd
+            euler += total - 2 * odd
+        js, lams = self.rows.get(dim, ((), ()))
+        corner = lams[-1] if js and js[-1] == dim else None
+        if corner != 1:
+            raise TableInvariantError(n, k, f"corner entry is {corner}, expected 1", (dim, dim))
         if euler != 1:
-            raise TableInvariantError(self.n, self.k, f"Euler characteristic is {euler}, expected 1")
+            raise TableInvariantError(n, k, f"Euler characteristic is {euler}, expected 1")
 
-    def _rows(self):
-        """((i, j), lambda) for every entry, sorted by (i, j)."""
-        keys = sorted(self.entries)  # sorting the keys alone is much faster than the items
-        return zip(keys, map(self.entries.__getitem__, keys))
+    def _cells(self, cell: str, sep: str) -> str:
+        """``cell % (i, j, lambda)`` for every entry in (i, j) order, joined by
+        ``sep``; ``cell`` spells i as %d and j, lambda as %%d, so each row is one
+        format over its interleaved (j, lambda) pairs."""
+        parts = []
+        for i in sorted(self.rows):
+            js, lams = self.rows[i]
+            pairs = [0] * (2 * len(js))
+            pairs[::2] = js
+            pairs[1::2] = lams
+            parts.append(sep.join([cell % i] * len(js)) % tuple(pairs))
+        return sep.join(parts)
 
     def to_obj(self) -> dict:
         return {
             "n": self.n,
             "k": self.k,
             "dim": self.dim,
-            "entries": [{"i": i, "j": j, "lambda": lam} for (i, j), lam in self._rows()],
+            "entries": [
+                {"i": i, "j": j, "lambda": lam} for i in sorted(self.rows) for j, lam in zip(*self.rows[i])
+            ],
         }
 
     def to_json(self) -> str:
         """The same bytes as ``json.dumps(self.to_obj())``, formatted directly."""
-        rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {lam}}}' for (i, j), lam in self._rows()])
-        return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{rows}]}}'
+        cells = self._cells('{"i": %d, "j": %%d, "lambda": %%d}', ", ")
+        return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{cells}]}}'
 
     def to_genfun_json(self) -> str:
         """L_k(q, w) as JSON terms sorted by (eq, ew): the same bytes as
         ``json.dumps(BiLaurentPoly(self.entries).to_obj())``, formatted directly."""
-        terms = ", ".join([f'{{"eq": {i}, "ew": {j}, "c": {lam}}}' for (i, j), lam in self._rows()])
-        return f"[{terms}]"
+        return "[" + self._cells('{"eq": %d, "ew": %%d, "c": %%d}', ", ") + "]"
 
     def to_csv(self) -> str:
-        lines = ["i,j,lambda"]
-        lines += [f"{i},{j},{lam}" for (i, j), lam in self._rows()]
-        return "\n".join(lines) + "\n"
+        return "i,j,lambda\n" + self._cells("%d,%%d,%%d\n", "")
 
     def to_latex(self) -> str:
         """A tabular with one row per occupied i, one column per occupied j
         (labels range over [0, dim]; empty rows/columns are omitted)."""
-        rows = sorted({i for (i, _) in self.entries})
-        cols = sorted({j for (_, j) in self.entries})
+        cols = sorted(set().union(*[js for js, _ in self.rows.values()]))
         lines = [r"\begin{tabular}{r|" + "c" * len(cols) + "}"]
         lines.append(
             " & ".join([r"$i \backslash j$"] + [f"${j}$" for j in cols]) + r" \\ \hline"
         )
-        for i in rows:
-            cells = [str(self.entries.get((i, j), 0)) for j in cols]
+        for i in sorted(self.rows):
+            row = dict(zip(*self.rows[i]))
+            cells = [str(row.get(j, 0)) for j in cols]
             lines.append(" & ".join([f"${i}$"] + [f"${c}$" for c in cells]) + r" \\")
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
@@ -127,13 +152,13 @@ def _check_nk(n: int, k: int) -> int:
 
 def L_closed(n: int, k: int) -> BiLaurentPoly:
     """The generating function of Lyubeznik numbers, by the closed formulas."""
-    return BiLaurentPoly(_expand(_closed_factors(n, k)))
+    return BiLaurentPoly(_entries(_expand(_closed_factors(n, k))))
 
 
 def L_composed(n: int, k: int) -> BiLaurentPoly:
     """The generating function composed from the Grothendieck-group class of
     the local cohomology and the origin local cohomology of each summand."""
-    return BiLaurentPoly(_expand(_composed_factors(n, k)))
+    return BiLaurentPoly(_entries(_expand(_composed_factors(n, k))))
 
 
 def _closed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly]]:
@@ -172,37 +197,84 @@ def _composed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly
     return [(h(p), coeff) for p, coeff in enumerate(cls.coeffs) if coeff]
 
 
-def _expand(factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> dict[tuple[int, int], int]:
-    """sum_s a_s(q) * b_s(w) as {(i, j): coefficient of q^i w^j}, zeros dropped."""
-    entries: dict[tuple[int, int], int] = {}
-    get = entries.get
+def _strided(poly: BiLaurentPoly) -> tuple[int, int, list[int], list[int]]:
+    """A nonzero q-only polynomial as (lo, step, coeffs, exps): the coefficient
+    of q^(lo + step*t) is coeffs[t], step is the gcd of the exponent gaps (0 for
+    a monomial, which has none), and exps are the exponents of the nonzero
+    coefficients, ascending."""
+    terms = {eq: c for (eq, _), c in poly.terms().items()}
+    exps = sorted(terms)
+    step = gcd(*[b - a for a, b in zip(exps, exps[1:])])
+    return exps[0], step, [terms.get(e, 0) for e in range(exps[0], exps[-1] + 1, step or 1)], exps
+
+
+def _expand(factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> dict[int, tuple[list[int], list[int]]]:
+    """sum_s a_s(q) * b_s(w) as rows {i: (js, lams)} in ascending i: js the
+    ascending j and lams the nonzero coefficients of q^i w^j.  A row that one
+    b_s meets is that b_s times a_s[i]; otherwise the row is one dense
+    accumulator, strided by the gcd of the steps and offsets of the b_s that
+    meet it, which the first b_s fills and the others add into."""
+    meets: dict[int, list[tuple[int, tuple[int, int, list[int], list[int]]]]] = {}
     for a, b in factors:
-        column = [(j, y) for (j, _), y in b.terms().items()]
-        for (i, _), x in a.terms().items():
-            for j, y in column:
-                key = i, j
-                entries[key] = get(key, 0) + x * y
-    for key in [key for key, c in entries.items() if not c]:
-        del entries[key]
-    return entries
+        if b:
+            column = _strided(b)
+            for (i, _), x in a.terms().items():
+                meets.setdefault(i, []).append((x, column))
+    rows = {}
+    for i in sorted(meets):
+        terms = meets[i]
+        if len(terms) == 1:
+            x, (_, _, c, exps) = terms[0]
+            rows[i] = (exps[:], [x * y for y in c if y])
+            continue
+        lo = min(lo_s for _, (lo_s, _, _, _) in terms)
+        step = gcd(*[s for _, (_, s, _, _) in terms], *[lo_s - lo for _, (lo_s, _, _, _) in terms]) or 1
+        hi = max(exps[-1] for _, (_, _, _, exps) in terms)
+        acc = [0] * ((hi - lo) // step + 1)
+        for t, (x, (lo_s, s, c, _)) in enumerate(terms):
+            start = (lo_s - lo) // step
+            part = slice(start, start + s // step * (len(c) - 1) + 1, s // step or 1)
+            products = [x * y for y in c]
+            acc[part] = map(add, acc[part], products) if t else products
+        lams = list(filter(None, acc))
+        if lams:
+            js = range(lo, lo + step * len(acc), step)
+            rows[i] = (list(js) if len(lams) == len(acc) else list(compress(js, acc)), lams)
+    return rows
+
+
+def _entries(rows: dict[int, tuple[list[int], list[int]]]) -> dict[tuple[int, int], int]:
+    """The rows as {(i, j): lambda}."""
+    return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
+
+
+def _check_work(n: int, k: int, factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> None:
+    """Refuse a table whose basis (n // 2 + 1 modules) or expansion (one term
+    product per pair of terms) is too large, before either is built."""
+    work = n // 2 + sum(len(a) * len(b) for a, b in factors)
+    if work > _MAX_WORK:
+        raise ValueError(f"table({n},{k}) needs {work} units of work, above the limit {_MAX_WORK}")
 
 
 def build_table(n: int, k: int) -> LyubeznikTable:
     """Build the Lyubeznik table, insisting the two routes agree exactly.
 
     Equal factor lists have equal expansions; only when the lists differ are
-    both expanded and compared, so a mismatch names its first differing term."""
+    both expanded and compared, so a mismatch names its first differing term.
+    Work past ``_MAX_WORK`` is refused before the composed route runs."""
     closed = _closed_factors(n, k)
+    _check_work(n, k, closed)
     composed = _composed_factors(n, k)
-    entries = _expand(closed)
+    rows = _expand(closed)
     if closed != composed:
+        _check_work(n, k, composed)
         other = _expand(composed)
-        if entries != other:
-            differ = (e for e in entries.keys() | other.keys() if entries.get(e, 0) != other.get(e, 0))
-            key = min(differ)
-            raise PathMismatchError(n, k, key, entries.get(key, 0), other.get(key, 0))
+        if rows != other:
+            mine, theirs = _entries(rows), _entries(other)
+            key = min(e for e in mine.keys() | theirs.keys() if mine.get(e, 0) != theirs.get(e, 0))
+            raise PathMismatchError(n, k, key, mine.get(key, 0), theirs.get(key, 0))
     dim = k * (2 * n - 2 * k - 1)
-    table = LyubeznikTable(n=n, k=k, dim=dim, entries=entries)
+    table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
     table.validate()
     return table
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
-from pflyub import ext_mult, partitions, weights_bott
+from pflyub import ext_mult, kgroup, partitions, weights_bott
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import (
@@ -24,6 +24,10 @@ from pflyub.verify import verify_all
 
 def mono(eq, ew):
     return BiLaurentPoly({(eq, ew): 1})
+
+
+def _past_the_work_limit(*args):
+    raise AssertionError("called past the work limit")
 
 
 class TestClosedForm:
@@ -123,17 +127,20 @@ class TestBuildTable:
         assert ly.build_table(n, k).entries == expected
 
     def test_invariant_violations_located(self):
-        bad = LyubeznikTable(n=6, k=1, dim=9, entries={(9, 9): 1, (7, 3): 1})
+        bad = LyubeznikTable(n=6, k=1, dim=9, rows={9: ([9], [1]), 7: ([3], [1])})
         with pytest.raises(TableInvariantError, match=r"\(7, 3\)"):
             bad.validate()
-        missing_corner = LyubeznikTable(n=6, k=1, dim=9, entries={(0, 5): 1})
+        for rows, entry in (({0: ([5, 10], [1, 1])}, r"\(0, 10\)"), ({-1: ([2], [1])}, r"\(-1, 2\)")):
+            with pytest.raises(TableInvariantError, match=r"at \(i,j\)=" + entry + ": index outside 0 <= i <= j <= 9"):
+                LyubeznikTable(n=6, k=1, dim=9, rows=rows).validate()
+        missing_corner = LyubeznikTable(n=6, k=1, dim=9, rows={0: ([5], [1])})
         with pytest.raises(TableInvariantError, match="corner"):
             missing_corner.validate()
-        negative = LyubeznikTable(n=4, k=0, dim=0, entries={(0, 0): -1})
+        negative = LyubeznikTable(n=4, k=0, dim=0, rows={0: ([0], [-1])})
         with pytest.raises(TableInvariantError, match="positive"):
             negative.validate()
         # lambda_{5,9} doubled: every other invariant holds
-        euler_two = LyubeznikTable(n=6, k=1, dim=9, entries={(0, 5): 1, (5, 9): 2, (9, 9): 1})
+        euler_two = LyubeznikTable(n=6, k=1, dim=9, rows={0: ([5], [1]), 5: ([9], [2]), 9: ([9], [1])})
         with pytest.raises(TableInvariantError, match="Euler characteristic is 2, expected 1"):
             euler_two.validate()
 
@@ -152,14 +159,30 @@ class TestBuildTable:
 
     def test_table_equality_is_fieldwise_and_unhashable(self):
         table = build_table(6, 1)
-        assert table == LyubeznikTable(6, 1, 9, dict(table.entries))
-        assert table != LyubeznikTable(6, 1, 10, dict(table.entries))
-        assert table != LyubeznikTable(6, 1, 9, {(9, 9): 1})
+        assert table == LyubeznikTable(6, 1, 9, dict(table.rows))
+        assert table != LyubeznikTable(6, 1, 10, dict(table.rows))
+        assert table != LyubeznikTable(6, 1, 9, {9: ([9], [1])})
         assert LyubeznikTable(6, 1, 9).entries == {}
         table.dim = 10  # mutable
         assert table.dim == 10
         with pytest.raises(TypeError):
             hash(table)
+
+    def test_work_limit_is_exact_and_covers_the_composed_list(self, monkeypatch):
+        # build_table(12, 3) needs 12 // 2 + 40 term products = 46 units
+        monkeypatch.setattr(ly, "_MAX_WORK", 45)
+        with pytest.raises(ValueError, match=r"table\(12,3\) needs 46 units of work, above the limit 45"):
+            ly.build_table(12, 3)
+        monkeypatch.setattr(ly, "_MAX_WORK", 46)
+        assert len(ly.build_table(12, 3).entries) == 40
+        # a composed list one product longer is refused before it is expanded
+        real = ly._composed_factors
+        monkeypatch.setattr(ly, "_composed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
+        with pytest.raises(ValueError, match="needs 47 units of work"):
+            ly.build_table(12, 3)
+        monkeypatch.setattr(ly, "_MAX_WORK", 47)
+        with pytest.raises(PathMismatchError):
+            ly.build_table(12, 3)
 
 
 class TestEmitters:
@@ -190,6 +213,29 @@ class TestEmitters:
         for k in valid_k_range(n):
             table = build_table(n, k)
             assert table.to_json() == json.dumps(table.to_obj())
+
+    @staticmethod
+    def reference_outputs(table):
+        """JSON, genfun JSON and CSV formatted entry by entry from the sorted entries."""
+        entries = table.entries
+        keys = sorted(entries)
+        rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {entries[i, j]}}}' for i, j in keys])
+        terms = ", ".join([f'{{"eq": {i}, "ew": {j}, "c": {entries[i, j]}}}' for i, j in keys])
+        lines = ["i,j,lambda"] + [f"{i},{j},{entries[i, j]}" for i, j in keys]
+        return (
+            f'{{"n": {table.n}, "k": {table.k}, "dim": {table.dim}, "entries": [{rows}]}}',
+            f"[{terms}]",
+            "\n".join(lines) + "\n",
+        )
+
+    def test_row_emitters_match_entrywise_reference(self):
+        tables = [build_table(n, k) for n in range(2, 17) for k in valid_k_range(n)]
+        tables.append(LyubeznikTable(3, 0, 0))
+        descending = build_table(13, 4)
+        tables.append(LyubeznikTable(13, 4, descending.dim, dict(sorted(descending.rows.items(), reverse=True))))
+        assert list(tables[-1].rows) != sorted(tables[-1].rows)
+        for table in tables:
+            assert (table.to_json(), table.to_genfun_json(), table.to_csv()) == self.reference_outputs(table)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_genfun_direct_matches_dumps(self, n):
@@ -406,6 +452,18 @@ class TestCli:
             assert main(["gaussian", "--a", "1000000000", "--b", b]) == 0
             assert json.loads(capsys.readouterr().out) == [{"eq": 0, "ew": 0, "c": 1}]
 
+    def test_table_work_limit_refuses_before_any_class(self, capsys, monkeypatch):
+        for module in (kgroup, ly):
+            monkeypatch.setattr(module, "localcoh_class_even_Q", _past_the_work_limit)
+            monkeypatch.setattr(module, "localcoh_class_odd_D_reversed", _past_the_work_limit)
+        monkeypatch.setattr(ly, "_expand", _past_the_work_limit)
+        # every binomial of k = 0 has degree 0, and k = m-1 at even n is one monomial
+        for argv in (["lyubeznik", "--n", "1000000000", "--k", "0"], ["genfun", "--n", "2000004", "--k", "1000001"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "above the limit 1000000" in err
+
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))
 _CLI_ARGS = st.one_of(
@@ -439,3 +497,17 @@ def test_cli_answers_or_refuses_in_one_line(argv):
     assert code in (0, 2)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["lyubeznik", "genfun"]), st.integers(2_000_004, 10**12))
+def test_cli_refuses_huge_tables_before_any_class(command, n):
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("localcoh_class_even_Q", "localcoh_class_odd_D_reversed", "_expand"):
+            patch.setattr(ly, name, _past_the_work_limit)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main([command, f"--n={n}", "--k=0"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
