@@ -33,7 +33,7 @@ _HOME = {
             "q_to_d",
             "reverse_class",
         ),
-        "lyubeznik": ("L_closed", "L_composed", "LyubeznikTable", "build_table"),
+        "lyubeznik": ("LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
         "partitions": (
             "Partition",
@@ -44,7 +44,7 @@ _HOME = {
             "gaussian_binomial",
             "gaussian_binomial_oracle",
         ),
-        "polyring": ("BiLaurentPoly",),
+        "polyring": ("QPoly",),
         "weights_bott": ("BottResult", "DominantWeight", "bott", "dual", "enumerate_B", "in_B", "verify_pushforward"),
         "verify": ("verify_all",),
     }.items()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .partitions import Partition, _weakly_decreasing, gaussian_binomial
-from .polyring import BiLaurentPoly
+from .polyring import QPoly
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,19 @@ class ZPair:
             raise ValueError(f"first p+1 = {self.p + 1} parts of {self.x} must be equal")
 
 
-def ext_series_enum(m: int, a: int, b: int) -> BiLaurentPoly:
+def ext_series_enum(m: int, a: int, b: int) -> QPoly:
     """The multiplicity series by box enumeration (the brute-force route)."""
     _check_args(m, a, b)
     base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
     sizes = Counter(map(sum, _weakly_decreasing(m - a, 0, a - 1)))
-    return BiLaurentPoly({(base - 4 * size, 0): count for size, count in sizes.items()})
+    return QPoly({base - 4 * size: count for size, count in sizes.items()})
 
 
-def ext_series_closed(m: int, a: int, b: int) -> BiLaurentPoly:
+def ext_series_closed(m: int, a: int, b: int) -> QPoly:
     """The multiplicity series in closed form."""
     _check_args(m, a, b)
     shift = a * (2 * a - 3) - m * (4 * a - 2 * m - 3) + 1
-    return BiLaurentPoly.q(shift) * gaussian_binomial(m - 1, a - 1, power=4)
+    return QPoly.q(shift) * gaussian_binomial(m - 1, a - 1, power=4)
 
 
 def _check_args(m: int, a: int, b: int) -> None:

@@ -18,7 +18,7 @@ for 0 <= k <= m-2, and [Q_{m-1}] * q for the hypersurface case k = m-1.
 from __future__ import annotations
 
 from .partitions import gaussian_binomial
-from .polyring import ZERO, BiLaurentPoly
+from .polyring import ZERO, QPoly
 
 QBASIS = "Q"
 DBASIS = "D"
@@ -32,7 +32,7 @@ class KClass:
 
     __slots__ = ("basis", "n", "coeffs")
 
-    def __init__(self, basis: str, n: int, coeffs: tuple[BiLaurentPoly, ...]):
+    def __init__(self, basis: str, n: int, coeffs: tuple[QPoly, ...]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
@@ -43,9 +43,6 @@ class KClass:
         m = self.n // 2
         if len(self.coeffs) != m + 1:
             raise ValueError(f"expected {m + 1} coefficients for n={self.n}, got {len(self.coeffs)}")
-        for c in self.coeffs:
-            if not c.is_q_only():
-                raise ValueError("basis coefficients must be polynomials in q only")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,11 +97,11 @@ def localcoh_class_even_Q(m: int, k: int) -> KClass:
     coeffs = [ZERO] * (m + 1)
     if k == m - 1:
         # hypersurface case: the localization quotient sits in degree 1
-        coeffs[m - 1] = BiLaurentPoly.q(1)
+        coeffs[m - 1] = QPoly.q(1)
     else:
         for p in range(k + 1):
             shift = 2 * (m - k) ** 2 - (m - k) + 4 * (k - p)
-            coeffs[p] = BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
+            coeffs[p] = QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
     return KClass(QBASIS, 2 * m, tuple(coeffs))
 
 
@@ -117,7 +114,7 @@ def localcoh_class_even_D(m: int, k: int) -> KClass:
     shift = 2 * (m - k) ** 2 - (m - k)
     coeffs = [ZERO] * (m + 1)
     for s in range(k + 1):
-        coeffs[s] = BiLaurentPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
+        coeffs[s] = QPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
     return KClass(DBASIS, 2 * m, tuple(coeffs))
 
 
@@ -130,7 +127,7 @@ def localcoh_class_odd_D_reversed(m: int, k: int) -> KClass:
     coeffs = [ZERO] * (m + 1)
     for p in range(k + 1):
         shift = k * (2 * k + 3) - 2 * p * (2 * k - 2 * m + 1)
-        coeffs[p] = BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 1, k - p, power=4)
+        coeffs[p] = QPoly.q(shift) * gaussian_binomial(m - p - 1, k - p, power=4)
     return KClass(DBASIS, 2 * m + 1, tuple(coeffs))
 
 

@@ -2,22 +2,22 @@
 
 The generating function L_k(q, w) = sum lambda_{i,j} q^i w^j collects the
 Lyubeznik numbers of the local ring at the cone point of the rank <= 2k locus
-of n x n skew-symmetric matrices.  Two independent routes compute it:
+of n x n skew-symmetric matrices.  Two independent routes give it as a sum of
+rank-one terms a_s(q) * b_s(w), one per basis module that occurs, each kept
+as its list of factor pairs (a_s, b_s) of q-polynomials, the q of b_s
+standing for w:
 
-* ``L_closed`` evaluates the closed formulas directly (with the even
+* ``_closed_factors`` evaluates the closed formulas directly (with the even
   hypersurface case k = m-1 dispatched to (q*w)^(C(n,2)-1));
-* ``L_composed`` composes the Grothendieck-group class of the local cohomology
-  (reversed so that w tracks j = C(n,2) - inner degree) with the origin
-  local cohomology of each basis module.
+* ``_composed_factors`` composes the Grothendieck-group class of the local
+  cohomology (reversed so that w tracks j = C(n,2) - inner degree) with the
+  origin local cohomology of each basis module.
 
-Both routes produce L_k as a sum of rank-one terms a_s(q) * b_s(w), one per
-basis module that occurs, and are computed as their lists of factor pairs
-(a_s, b_s) of q-only polynomials, the q of b_s standing for w.
 ``build_table`` compares the two lists, expands only the closed one (both,
 if the lists differ), and refuses to emit unless the expansions agree
-exactly; it then checks the structural invariants: entries positive,
-0 <= i <= j <= dim, the corner entry lambda_{dim,dim} = 1 where
-dim = k(2n-2k-1), and the Euler characteristic
+exactly; the table's ``entries`` are the checked L_k.  It then checks the
+structural invariants: entries positive, 0 <= i <= j <= dim, the corner entry
+lambda_{dim,dim} = 1 where dim = k(2n-2k-1), and the Euler characteristic
 sum (-1)^(i-j) lambda_{i,j} = 1.
 """
 
@@ -31,7 +31,7 @@ from .errors import PathMismatchError, TableInvariantError
 from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D_reversed, reverse_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
-from .polyring import BiLaurentPoly
+from .polyring import QPoly
 
 # The most work build_table takes on: n // 2 for the n // 2 + 1 basis modules
 # of the composed route's class, plus one unit per term product of the
@@ -118,8 +118,8 @@ class LyubeznikTable:
         return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{cells}]}}'
 
     def to_genfun_json(self) -> str:
-        """L_k(q, w) as JSON terms sorted by (eq, ew): the same bytes as
-        ``json.dumps(BiLaurentPoly(self.entries).to_obj())``, formatted directly."""
+        """L_k(q, w) as JSON terms {"eq": i, "ew": j, "c": lambda_{i,j}} sorted
+        by (i, j), in the term format of ``QPoly.to_obj``, formatted directly."""
         return "[" + self._cells('{"eq": %d, "ew": %%d, "c": %%d}', ", ") + "]"
 
     def to_csv(self) -> str:
@@ -150,22 +150,11 @@ def _check_nk(n: int, k: int) -> int:
     return m
 
 
-def L_closed(n: int, k: int) -> BiLaurentPoly:
-    """The generating function of Lyubeznik numbers, by the closed formulas."""
-    return BiLaurentPoly(_entries(_expand(_closed_factors(n, k))))
-
-
-def L_composed(n: int, k: int) -> BiLaurentPoly:
-    """The generating function composed from the Grothendieck-group class of
-    the local cohomology and the origin local cohomology of each summand."""
-    return BiLaurentPoly(_entries(_expand(_composed_factors(n, k))))
-
-
-def _closed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly]]:
+def _closed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     """The closed formulas, with the even hypersurface case k = m-1
     dispatched to (q*w)^(C(n,2)-1)."""
     m = _check_nk(n, k)
-    q = BiLaurentPoly.q
+    q = QPoly.q
     if n % 2 == 0 and k == m - 1:
         corner = q(comb(n, 2) - 1)
         return [(corner, corner)]
@@ -183,7 +172,7 @@ def _closed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly]]
     return factors
 
 
-def _composed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly]]:
+def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     """The origin local cohomology h(p) of each basis module p, paired with
     the module's coefficient in the class of the local cohomology, graded by
     w^j with j = C(n,2) - cohomological degree."""
@@ -197,18 +186,18 @@ def _composed_factors(n: int, k: int) -> list[tuple[BiLaurentPoly, BiLaurentPoly
     return [(h(p), coeff) for p, coeff in enumerate(cls.coeffs) if coeff]
 
 
-def _strided(poly: BiLaurentPoly) -> tuple[int, int, list[int], list[int]]:
-    """A nonzero q-only polynomial as (lo, step, coeffs, exps): the coefficient
-    of q^(lo + step*t) is coeffs[t], step is the gcd of the exponent gaps (0 for
-    a monomial, which has none), and exps are the exponents of the nonzero
+def _strided(poly: QPoly) -> tuple[int, int, list[int], list[int]]:
+    """A nonzero polynomial as (lo, step, coeffs, exps): the coefficient of
+    q^(lo + step*t) is coeffs[t], step is the gcd of the exponent gaps (0 for a
+    monomial, which has none), and exps are the exponents of the nonzero
     coefficients, ascending."""
-    terms = {eq: c for (eq, _), c in poly.terms().items()}
+    terms = poly.terms()
     exps = sorted(terms)
     step = gcd(*[b - a for a, b in zip(exps, exps[1:])])
     return exps[0], step, [terms.get(e, 0) for e in range(exps[0], exps[-1] + 1, step or 1)], exps
 
 
-def _expand(factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> dict[int, tuple[list[int], list[int]]]:
+def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[list[int], list[int]]]:
     """sum_s a_s(q) * b_s(w) as rows {i: (js, lams)} in ascending i: js the
     ascending j and lams the nonzero coefficients of q^i w^j.  A row that one
     b_s meets is that b_s times a_s[i]; otherwise the row is one dense
@@ -218,7 +207,7 @@ def _expand(factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> dict[int, tup
     for a, b in factors:
         if b:
             column = _strided(b)
-            for (i, _), x in a.terms().items():
+            for i, x in a.terms().items():
                 meets.setdefault(i, []).append((x, column))
     rows = {}
     for i in sorted(meets):
@@ -248,7 +237,7 @@ def _entries(rows: dict[int, tuple[list[int], list[int]]]) -> dict[tuple[int, in
     return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
 
 
-def _check_work(n: int, k: int, factors: list[tuple[BiLaurentPoly, BiLaurentPoly]]) -> None:
+def _check_work(n: int, k: int, factors: list[tuple[QPoly, QPoly]]) -> None:
     """Refuse a table whose basis (n // 2 + 1 modules) or expansion (one term
     product per pair of terms) is too large, before either is built."""
     work = n // 2 + sum(len(a) * len(b) for a, b in factors)

@@ -24,7 +24,7 @@ from itertools import chain, combinations_with_replacement
 from operator import add, ge
 from typing import Iterator, Sequence
 
-from .polyring import BiLaurentPoly
+from .polyring import QPoly
 
 
 class Partition:
@@ -143,7 +143,7 @@ def conjugate(z: Partition) -> Partition:
 _MAX_DEGREE = 10_000
 
 
-def gaussian_binomial(a: int, b: int, power: int = 1) -> BiLaurentPoly:
+def gaussian_binomial(a: int, b: int, power: int = 1) -> QPoly:
     """The Gaussian binomial coefficient binom(a, b)_q, a polynomial in q;
     with ``power``, the same coefficients on q^power (``power=4`` gives the
     binom(a, b)_{q^4} of the local cohomology formulas).
@@ -162,7 +162,7 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> BiLaurentPoly:
     if degree > _MAX_DEGREE:
         raise ValueError(f"binomial({a}, {b}) has degree {degree}, above the limit {_MAX_DEGREE}")
     coeffs = _gauss(a, b) if degree else (1,)
-    return BiLaurentPoly({(power * e, 0): c for e, c in enumerate(coeffs)})
+    return QPoly({power * e: c for e, c in enumerate(coeffs)})
 
 
 @lru_cache(maxsize=None)
@@ -184,9 +184,9 @@ def _gauss(a: int, b: int) -> tuple[int, ...]:
     return row[-1]
 
 
-def gaussian_binomial_oracle(a: int, b: int) -> BiLaurentPoly:
+def gaussian_binomial_oracle(a: int, b: int) -> QPoly:
     """binom(a, b)_q by brute force: sum of q^|x| over partitions x in an (a-b) x b box."""
     if b < 0 or a < b:
         raise ValueError(f"gaussian_binomial_oracle requires a >= b >= 0, got ({a}, {b})")
     sizes = Counter(map(sum, _weakly_decreasing(a - b, 0, b)))
-    return BiLaurentPoly({(size, 0): count for size, count in sizes.items()})
+    return QPoly(sizes)

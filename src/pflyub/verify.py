@@ -15,7 +15,12 @@ from .kgroup import KClass, localcoh_class_even_D, localcoh_class_even_Q, q_to_d
 from .lyubeznik import build_table, valid_k_range
 from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
 from .partitions import Partition, gaussian_binomial, gaussian_binomial_oracle
-from .polyring import ZERO, BiLaurentPoly
+from .polyring import ZERO, QPoly
+
+# The largest n_max verify_all takes, so that its work is bounded before any
+# suite starts: every table with n <= 56 is within lyubeznik._MAX_WORK (the
+# largest needs 143,688 units), and all of them build in seconds.
+_N_MAX = 56
 
 
 def _suite(name: str, checks) -> dict:
@@ -60,7 +65,7 @@ def _gaussian_checks(a_max: int):
                 f"binomial inversion fails at ({a},{b})",
             )
             if a > b > 0:
-                pascal = gaussian_binomial(a - 1, b - 1) + BiLaurentPoly.q(b) * gaussian_binomial(a - 1, b)
+                pascal = gaussian_binomial(a - 1, b - 1) + QPoly.q(b) * gaussian_binomial(a - 1, b)
                 _require(g == pascal, f"Pascal identity fails at ({a},{b})")
             yield
 
@@ -81,7 +86,7 @@ def _kgroup_checks(m_max: int, m_max_swap: int):
             for p in range(m + 1):
                 if p <= k:
                     shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                    expected.append(BiLaurentPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
+                    expected.append(QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
                 else:
                     expected.append(ZERO)
             _require(
@@ -95,12 +100,12 @@ def _origin_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m):
             _require(
-                BiLaurentPoly.q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1),
+                QPoly.q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1),
                 f"pole/indecomposable splice fails at (m={m}, p={p})",
             )
             yield
         for s in range(1, m):
-            spliced = h0_pf_pole(m, m - s) + BiLaurentPoly.q(-1) * h0_pf_pole(m, m - s - 1)
+            spliced = h0_pf_pole(m, m - s) + QPoly.q(-1) * h0_pf_pole(m, m - s - 1)
             _require(
                 h0_D_even(m, s) == spliced,
                 f"simple-module splice fails at (m={m}, s={s})",
@@ -149,11 +154,14 @@ def _character_checks(m_max: int, bound: int):
 
 
 def verify_all(n_max: int) -> dict:
-    """Run every verification suite; the tables cover 2 <= n <= n_max, the
-    module property suites run at their standard ranges.  Returns a structured
-    report; a suite stops at its first failure, the others still run."""
+    """Run every verification suite; the tables cover 2 <= n <= n_max, with
+    n_max at most 56, and the module property suites run at their standard
+    ranges.  Returns a structured report; a suite stops at its first failure,
+    the others still run."""
     if n_max < 2:
         raise ValueError(f"require n_max >= 2, got {n_max}")
+    if n_max > _N_MAX:
+        raise ValueError(f"n_max {n_max} is above the limit {_N_MAX}")
     suites = [
         _suite("two_path_tables", _two_path_checks(n_max)),
         _suite("gaussian_binomials", _gaussian_checks(14)),

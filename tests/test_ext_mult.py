@@ -5,11 +5,11 @@ import pytest
 
 from pflyub.ext_mult import ZPair, ext_series_closed, ext_series_enum, zset_rectangle, zset_thickened
 from pflyub.partitions import Partition, enumerate_box
-from pflyub.polyring import BiLaurentPoly
+from pflyub.polyring import QPoly
 
 
 def q(e):
-    return BiLaurentPoly.q(e)
+    return QPoly.q(e)
 
 
 class TestZPair:
@@ -60,7 +60,7 @@ class TestSeries:
         sizes = Counter(x.size() for x in enumerate_box(m - a, a - 1))
         base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
         for size, count in sizes.items():
-            assert series.terms().get((base - 4 * size, 0), 0) == count
+            assert series.terms().get(base - 4 * size, 0) == count
 
 
 class TestZSets:

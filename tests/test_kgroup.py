@@ -15,16 +15,16 @@ from pflyub.kgroup import (
     reverse_class,
 )
 from pflyub.partitions import gaussian_binomial
-from pflyub.polyring import ZERO, BiLaurentPoly
+from pflyub.polyring import ZERO, QPoly
 
 
 def q(e):
-    return BiLaurentPoly.q(e)
+    return QPoly.q(e)
 
 
 def in_q4(poly):
     """poly with q replaced by q^4, written out here rather than taken from the library."""
-    return BiLaurentPoly({(4 * eq, ew): c for (eq, ew), c in poly.terms().items()})
+    return QPoly({4 * e: c for e, c in poly.terms().items()})
 
 
 def qclass(n, **coeffs):
@@ -44,10 +44,6 @@ class TestKClassValidation:
         with pytest.raises(ValueError):
             KClass(QBASIS, 5, (ZERO, ZERO, ZERO))
         KClass(DBASIS, 5, (ZERO, ZERO, ZERO))  # fine
-
-    def test_coeffs_must_be_q_only(self):
-        with pytest.raises(ValueError):
-            KClass(DBASIS, 4, (BiLaurentPoly.w(1), ZERO, ZERO))
 
     def test_frozen_and_hashable(self):
         cls = localcoh_class_even_Q(3, 1)
@@ -77,9 +73,7 @@ class TestBasisChange:
         with pytest.raises(ValueError):
             d_to_q(qclass(4))
 
-    small = st.dictionaries(
-        st.tuples(st.integers(0, 5), st.just(0)), st.integers(-4, 4), max_size=3
-    ).map(BiLaurentPoly)
+    small = st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=3).map(QPoly)
 
     @given(st.integers(1, 4), st.data())
     def test_roundtrip(self, m, data):
@@ -166,5 +160,5 @@ class TestGradingReversalIdentity:
         for m in range(2, 8):
             for k in range(m - 1):
                 poly = localcoh_class_even_D(m, k).coeffs[0]
-                exps = sorted(eq for eq, _ in poly.terms())
+                exps = sorted(poly.terms())
                 assert poly.reverse(exps[0] + exps[-1]) == poly

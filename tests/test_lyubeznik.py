@@ -8,22 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
-from pflyub import ext_mult, kgroup, partitions, weights_bott
+from pflyub import ext_mult, kgroup, partitions, verify, weights_bott
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
-from pflyub.lyubeznik import (
-    L_closed,
-    L_composed,
-    LyubeznikTable,
-    build_table,
-    valid_k_range,
-)
-from pflyub.polyring import ONE, BiLaurentPoly
+from pflyub.lyubeznik import LyubeznikTable, build_table, valid_k_range
+from pflyub.polyring import ONE, QPoly
 from pflyub.verify import verify_all
 
 
-def mono(eq, ew):
-    return BiLaurentPoly({(eq, ew): 1})
+def expanded(factors):
+    """A route's factor list expanded to {(i, j): lambda}."""
+    return ly._entries(ly._expand(factors))
 
 
 def _past_the_work_limit(*args):
@@ -32,47 +27,48 @@ def _past_the_work_limit(*args):
 
 class TestClosedForm:
     def test_published_n6_values(self):
-        assert L_closed(6, 1) == mono(0, 5) + mono(5, 9) + mono(9, 9)
+        assert build_table(6, 1).entries == {(0, 5): 1, (5, 9): 1, (9, 9): 1}
 
     def test_n6_hypersurface(self):
-        assert L_closed(6, 2) == mono(14, 14)
+        assert build_table(6, 2).entries == {(14, 14): 1}
 
     def test_n5_k1(self):
-        assert L_closed(5, 1) == mono(0, 5) + mono(3, 7) + mono(7, 7)
+        assert build_table(5, 1).entries == {(0, 5): 1, (3, 7): 1, (7, 7): 1}
 
     def test_k0_is_one(self):
         for n in range(2, 14):
-            assert L_closed(n, 0) == ONE
+            assert build_table(n, 0).entries == {(0, 0): 1}
 
     def test_even_hypersurface_all_sizes(self):
         for n in (2, 4, 6, 8, 10, 12):
             d = comb(n, 2)
-            assert L_closed(n, n // 2 - 1) == mono(d - 1, d - 1)
+            assert build_table(n, n // 2 - 1).entries == {(d - 1, d - 1): 1}
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            L_closed(1, 0)
+            build_table(1, 0)
         with pytest.raises(ValueError):
-            L_closed(6, 3)
+            build_table(6, 3)
         with pytest.raises(ValueError):
-            L_closed(7, -1)
+            build_table(7, -1)
 
 
 class TestComposedPath:
     def test_matches_closed_n6(self):
-        assert L_composed(6, 1) == L_closed(6, 1)
+        assert expanded(ly._composed_factors(6, 1)) == build_table(6, 1).entries
 
     def test_n5_k1_pieces(self):
         # degree-0 simple contributes w^5, the next one (q^3+q^7) w^7
-        assert L_composed(5, 1) == mono(0, 5) + mono(3, 7) + mono(7, 7)
+        assert expanded(ly._composed_factors(5, 1)) == {(0, 5): 1, (3, 7): 1, (7, 7): 1}
 
     def test_n4_hypersurface_composes_to_special_case(self):
-        assert L_composed(4, 1) == mono(5, 5)
+        assert expanded(ly._composed_factors(4, 1)) == {(5, 5): 1}
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_two_paths_agree(self, n):
+        # both routes expanded, even where the factor lists are equal, which build_table skips
         for k in valid_k_range(n):
-            assert L_closed(n, k) == L_composed(n, k)
+            assert ly._expand(ly._closed_factors(n, k)) == ly._expand(ly._composed_factors(n, k))
 
 
 class TestBuildTable:
@@ -241,7 +237,8 @@ class TestEmitters:
     def test_genfun_direct_matches_dumps(self, n):
         for k in valid_k_range(n):
             table = build_table(n, k)
-            assert table.to_genfun_json() == json.dumps(BiLaurentPoly(table.entries).to_obj())
+            terms = [{"eq": i, "ew": j, "c": lam} for (i, j), lam in sorted(table.entries.items())]
+            assert table.to_genfun_json() == json.dumps(terms)
 
 
 class TestVerifyAll:
@@ -257,7 +254,7 @@ class TestVerifyAll:
         def corrupted(n, k):
             out = real(n, k)
             if (n, k) == (6, 1):
-                out = out + [(BiLaurentPoly.q(1), BiLaurentPoly.q(2))]
+                out = out + [(QPoly.q(1), QPoly.q(2))]
             return out
 
         monkeypatch.setattr(ly, "_closed_factors", corrupted)
@@ -463,6 +460,48 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "above the limit 1000000" in err
+
+    def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "build_table", _past_the_work_limit)
+        for n_max in ("57", str(10**12)):
+            assert main(["verify", "--n-max", n_max]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n_max {n_max} is above the limit 56\n"
+        # 56 is accepted: every table with n <= 56 is requested once
+        built = []
+        monkeypatch.setattr(verify, "build_table", lambda n, k: built.append((n, k)))
+        assert verify_all(56)["pass"] is True
+        assert built == [(n, k) for n in range(2, 57) for k in valid_k_range(n)]
+
+    @staticmethod
+    def cli_digest(capsys, commands):
+        digest = hashlib.sha256()
+        for argv in commands:
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+        return digest.hexdigest()
+
+    def test_gaussian_bytes(self, capsys):
+        commands = [
+            ["gaussian", "--a", str(a), "--b", str(b), "--power", str(power)]
+            for a in range(21)
+            for b in range(a + 1)
+            for power in (1, 4)
+        ]
+        assert len(commands) == 462
+        assert self.cli_digest(capsys, commands) == "de833ae22d17deb862b7f1451f85ecde4e9d42d62948b67c1c052abc10b1cd24"
+
+    def test_localcoh_bytes(self, capsys):
+        families = (("even", "Q", 0), ("even", "D", 1), ("even", "pfpole", 0), ("odd", "D", 1))
+        commands = [
+            ["localcoh", "--parity", parity, "--m", str(m), "--object", obj, "--index", str(index)]
+            for m in range(1, 9)
+            for parity, obj, extra in families
+            for index in range(m + extra)
+        ]
+        assert len(commands) == 160
+        assert self.cli_digest(capsys, commands) == "006bb5322ec11e9af3ef40bf42e1102267b5f2c5812d0849faed7030dc44ec42"
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))
