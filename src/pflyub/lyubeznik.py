@@ -38,6 +38,11 @@ from .polyring import QPoly
 # expansion.  The largest table with n <= 56 needs 143,688.
 _MAX_WORK = 1_000_000
 
+# The most cells, zeros included, to_latex formats: occupied rows times
+# occupied columns, which _MAX_WORK does not bound.  The largest table with
+# n <= 56 has 376,110, at (55, 17).
+_MAX_CELLS = 2_000_000
+
 
 class LyubeznikTable:
     """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
@@ -127,16 +132,24 @@ class LyubeznikTable:
 
     def to_latex(self) -> str:
         """A tabular with one row per occupied i, one column per occupied j
-        (labels range over [0, dim]; empty rows/columns are omitted)."""
+        (labels range over [0, dim]; empty rows/columns are omitted), refused
+        past ``_MAX_CELLS`` rows times columns before any cell is formatted."""
         cols = sorted(set().union(*[js for js, _ in self.rows.values()]))
+        cells = len(self.rows) * len(cols)
+        if cells > _MAX_CELLS:
+            raise ValueError(f"table({self.n},{self.k}) has {cells} LaTeX cells, above the limit {_MAX_CELLS}")
         lines = [r"\begin{tabular}{r|" + "c" * len(cols) + "}"]
         lines.append(
             " & ".join([r"$i \backslash j$"] + [f"${j}$" for j in cols]) + r" \\ \hline"
         )
+        column = {j: t for t, j in enumerate(cols, 1)}
+        blank = ["$0$"] * len(cols)
         for i in sorted(self.rows):
-            row = dict(zip(*self.rows[i]))
-            cells = [str(row.get(j, 0)) for j in cols]
-            lines.append(" & ".join([f"${i}$"] + [f"${c}$" for c in cells]) + r" \\")
+            js, lams = self.rows[i]
+            row = [f"${i}$", *blank]
+            for j, lam in zip(js, lams):
+                row[column[j]] = f"${lam}$"
+            lines.append(" & ".join(row) + r" \\")
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
 

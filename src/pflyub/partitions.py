@@ -5,23 +5,22 @@ explicit ambient length: trailing zeros count toward the length but not toward
 the identity of the partition, so ``Partition((2, 1)) == Partition((2, 1, 0))``
 while their lengths differ.
 
-The Gaussian binomial ``binom(a, b)_q`` is computed by the Pascal recurrence
+The Gaussian binomial ``binom(a, b)_q`` is computed by the product formula
 
-    binom(a, b) = binom(a-1, b-1) + q^b * binom(a-1, b),    a > b > 0,
+    binom(c+i, i) = binom(c+i-1, i-1) * (1 - q^(c+i)) / (1 - q^i),    i = 1..b,
 
-with binom(a, 0) = binom(a, a) = 1, keeping all arithmetic in integers.  The
-recurrence runs iteratively, one row of dense coefficient tuples per value of
-b, so no size of a exhausts the call stack.  An independent route,
-``gaussian_binomial_oracle``, sums q^|x| over the partitions x fitting inside
-an (a-b) x b box; the two must agree.
+with c = a - b and b <= a - b, keeping all arithmetic in integers on one dense
+coefficient list.  An independent route, ``gaussian_binomial_oracle``, sums
+q^|x| over the partitions x fitting inside an (a-b) x b box; the two must
+agree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
-from operator import add, ge
+from itertools import accumulate, chain, combinations_with_replacement
+from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .polyring import QPoly
@@ -138,8 +137,8 @@ def conjugate(z: Partition) -> Partition:
     return Partition(cols, length=width)
 
 
-# _gauss(a, b) takes time and memory growing as its degree b(a-b) squared,
-# and a + 1 steps at degree 0 (b = 0 or b = a), where the binomial is 1
+# _gauss(a, b) takes min(b, a-b) passes over one list about as long as its
+# degree b(a-b): time grows as min(b, a-b) times the degree, memory as the degree
 _MAX_DEGREE = 10_000
 
 
@@ -169,19 +168,21 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> QPoly:
 def _gauss(a: int, b: int) -> tuple[int, ...]:
     """Coefficients of binom(a, b)_q, constant term first.
 
-    Row j holds binom(j + r, j) for r = 0..a-b; Pascal's rule gives
-    binom(j + r, j) = binom(j + r - 1, j - 1) + q^j * binom(j + r - 1, j),
-    the first term from the row before and the second from the entry before.
+    Step i turns binom(c + i - 1, i - 1) into binom(c + i, i), c = a - b:
+    multiply by 1 - q^(c+i), then divide by 1 - q^i as a running sum along
+    each residue class mod i.  The division is exact, so the quotient's top i
+    coefficients are zero and are dropped.
     """
-    row = [(1,)] * (a - b + 1)
-    for j in range(1, b + 1):
-        new = [(1,)]
-        for r in range(1, a - b + 1):
-            coeffs = list(row[r]) + [0] * r  # degree (j-1)r, padded to jr
-            coeffs[j:] = map(add, coeffs[j:], new[r - 1])
-            new.append(tuple(coeffs))
-        row = new
-    return row[-1]
+    b = min(b, a - b)
+    c = a - b
+    coeffs = [1]
+    for i in range(1, b + 1):
+        shift = [0] * (c + i)
+        coeffs = list(map(sub, coeffs + shift, shift + coeffs))
+        for r in range(i):
+            coeffs[r::i] = accumulate(coeffs[r::i])
+        del coeffs[-i:]
+    return tuple(coeffs)
 
 
 def gaussian_binomial_oracle(a: int, b: int) -> QPoly:

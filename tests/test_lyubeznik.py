@@ -212,16 +212,24 @@ class TestEmitters:
 
     @staticmethod
     def reference_outputs(table):
-        """JSON, genfun JSON and CSV formatted entry by entry from the sorted entries."""
+        """JSON, genfun JSON and CSV formatted entry by entry from the sorted
+        entries, and LaTeX formatted cell by cell, zeros included."""
         entries = table.entries
         keys = sorted(entries)
         rows = ", ".join([f'{{"i": {i}, "j": {j}, "lambda": {entries[i, j]}}}' for i, j in keys])
         terms = ", ".join([f'{{"eq": {i}, "ew": {j}, "c": {entries[i, j]}}}' for i, j in keys])
         lines = ["i,j,lambda"] + [f"{i},{j},{entries[i, j]}" for i, j in keys]
+        cols = sorted({j for _, j in keys})
+        latex = [r"\begin{tabular}{r|" + "c" * len(cols) + "}"]
+        latex.append(" & ".join([r"$i \backslash j$"] + [f"${j}$" for j in cols]) + r" \\ \hline")
+        for i in sorted({i for i, _ in keys}):
+            latex.append(" & ".join([f"${i}$"] + [f"${entries.get((i, j), 0)}$" for j in cols]) + r" \\")
+        latex.append(r"\end{tabular}")
         return (
             f'{{"n": {table.n}, "k": {table.k}, "dim": {table.dim}, "entries": [{rows}]}}',
             f"[{terms}]",
             "\n".join(lines) + "\n",
+            "\n".join(latex) + "\n",
         )
 
     def test_row_emitters_match_entrywise_reference(self):
@@ -231,7 +239,8 @@ class TestEmitters:
         tables.append(LyubeznikTable(13, 4, descending.dim, dict(sorted(descending.rows.items(), reverse=True))))
         assert list(tables[-1].rows) != sorted(tables[-1].rows)
         for table in tables:
-            assert (table.to_json(), table.to_genfun_json(), table.to_csv()) == self.reference_outputs(table)
+            emitted = (table.to_json(), table.to_genfun_json(), table.to_csv(), table.to_latex())
+            assert emitted == self.reference_outputs(table)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_genfun_direct_matches_dumps(self, n):
@@ -460,6 +469,16 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "above the limit 1000000" in err
+
+    def test_latex_cell_limit_refuses_before_formatting(self, capsys):
+        # about 30,000 units of work, but 10,001 rows by 10,000 columns of cells
+        assert main(["lyubeznik", "--n", "20001", "--k", "1", "--format", "latex"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table(20001,1) has 100010000 LaTeX cells, above the limit 2000000\n"
+        # the largest table with n <= 56 is within the limit
+        assert main(["lyubeznik", "--n", "55", "--k", "17", "--format", "latex"]) == 0
+        assert capsys.readouterr().out.count("\n") == 2 + len(build_table(55, 17).rows) + 1
 
     def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "build_table", _past_the_work_limit)

@@ -1,10 +1,13 @@
+import tracemalloc
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pflyub.partitions import (
     Partition,
+    _gauss,
     conjugate,
     dominates,
     double_columns,
@@ -163,3 +166,47 @@ def test_binomial_identities(a):
         # Pascal recurrence
         if a > b > 0:
             assert g == gaussian_binomial(a - 1, b - 1) + QPoly.q(b) * gaussian_binomial(a - 1, b)
+
+
+def pascal_rows(a, b):
+    """binom(a, b)_q by Pascal rows, the earlier kernel, kept as the reference:
+    row j holds binom(j + r, j) for r = 0..a-b, and
+    binom(j + r, j) = binom(j + r - 1, j - 1) + q^j * binom(j + r - 1, j)."""
+    row = [(1,)] * (a - b + 1)
+    for j in range(1, b + 1):
+        new = [(1,)]
+        for r in range(1, a - b + 1):
+            coeffs = list(row[r]) + [0] * r  # degree (j-1)r, padded to jr
+            coeffs[j:] = map(add, coeffs[j:], new[r - 1])
+            new.append(tuple(coeffs))
+        row = new
+    return row[-1]
+
+
+class TestGaussKernel:
+    def test_matches_pascal_rows_for_every_a_up_to_40(self):
+        for a in range(41):
+            for b in range(a + 1):
+                assert _gauss(a, b) == pascal_rows(a, b), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(200, 2), (400, 2), (60, 30), (80, 40), (100, 50)])
+    def test_matches_pascal_rows_at_larger_sizes(self, a, b):
+        assert _gauss(a, b) == pascal_rows(a, b)
+
+    @pytest.mark.parametrize("a,b", [(10001, 1), (200, 100)])
+    def test_degree_palindrome_and_value_at_one(self, a, b):
+        coeffs = _gauss(a, b)
+        assert len(coeffs) == b * (a - b) + 1
+        assert coeffs[0] == coeffs[-1] == 1
+        assert coeffs == coeffs[::-1]
+        assert sum(coeffs) == comb(a, b)
+
+    def test_memory_is_linear_in_the_degree(self):
+        tracemalloc.start()
+        try:
+            coeffs = _gauss.__wrapped__(10001, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs == (1,) * 10001
+        assert peak < 10 * 2**20
