@@ -23,10 +23,9 @@ _HOME = {
     for module, names in {
         "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
         "ext_mult": ("ZPair", "ext_series_closed", "ext_series_enum", "zset_rectangle", "zset_thickened"),
-        "characters": ("IdealI", "ModuleN", "PfPole", "SimpleD", "verify_limitpfaff"),
+        "characters": ("ModuleN", "PfPole", "SimpleD", "verify_limitpfaff"),
         "kgroup": (
             "KClass",
-            "d_to_q",
             "localcoh_class_even_D",
             "localcoh_class_even_Q",
             "localcoh_class_odd_D_reversed",
@@ -35,17 +34,9 @@ _HOME = {
         ),
         "lyubeznik": ("LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
-        "partitions": (
-            "Partition",
-            "conjugate",
-            "dominates",
-            "double_columns",
-            "enumerate_box",
-            "gaussian_binomial",
-            "gaussian_binomial_oracle",
-        ),
+        "partitions": ("Partition", "dominates", "gaussian_binomial", "gaussian_binomial_oracle"),
         "polyring": ("QPoly",),
-        "weights_bott": ("BottResult", "DominantWeight", "bott", "dual", "enumerate_B", "in_B", "verify_pushforward"),
+        "weights_bott": ("BottResult", "DominantWeight", "bott", "dual", "in_B", "verify_pushforward"),
         "verify": ("verify_all",),
     }.items()
     for name in names

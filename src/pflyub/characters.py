@@ -7,8 +7,6 @@ as W-weights; conditions stated on the dual side are checked through ``dual``.
 
 The membership rules, for a weight mu of ambient length n (m = floor(n/2)):
 
-* invariant ideal I_z (z a partition with m parts): mu is the column-doubled
-  weight x^(2) of some partition x >= z;
 * fractional-twist module N_{k,e} = I_{(m-k) x e} * Pf^{-e-2k}: mu = nu^(2)
   with nu >= ((-2k)^(m-k), (-e-2k)^k);
 * pole-order module <Pf^(-2k)>: mu paired, with dual(mu)_{2k+1} <= 2k;
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import VerificationError
-from .partitions import Partition, _doubled, _weakly_decreasing, dominates
+from .partitions import _doubled, _weakly_decreasing, dominates
 from .weights_bott import DominantWeight, dual, in_B
 
 
@@ -48,31 +46,6 @@ class CharSpec:
         if len(mu) != self.n:
             raise ValueError(f"weight has length {len(mu)}, ambient requires {self.n}")
         return mu.entries
-
-
-@dataclass(frozen=True)
-class IdealI(CharSpec):
-    """Character of the invariant ideal generated by the x^(2)-isotypic piece of z."""
-
-    z: Partition
-    n: int
-
-    def __post_init__(self):
-        m = self.n // 2
-        if len(self.z.profile) > m:
-            raise ValueError(f"z must have at most {m} parts for n={self.n}")
-
-    def contains(self, mu: DominantWeight) -> bool:
-        entries = self._check_length(mu)
-        m = self.n // 2
-        if self.n % 2:
-            if entries[-1] != 0:
-                return False
-            entries = entries[:-1]
-        half = _paired_half(entries)
-        if half is None or half[-1] < 0:
-            return False
-        return dominates(half, self.z.padded(m).parts)
 
 
 @dataclass(frozen=True)

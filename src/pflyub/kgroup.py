@@ -3,7 +3,7 @@
 A class is a vector of q-polynomials indexed by a basis of module symbols:
 the indecomposables Q_0..Q_m coming from the pole order filtration (even
 ambient size only) or the simples D_0..D_m.  Since [Q_p] = [D_0] + ... + [D_p],
-the change of basis is a running sum one way and a difference the other.
+``q_to_d`` rewrites a Q-basis class in the D-basis by running sums.
 
 ``localcoh_class_even_Q(m, k)`` is the class of the total local cohomology of
 the polynomial ring with support in the rank <= 2k locus of 2m x 2m
@@ -75,18 +75,6 @@ def q_to_d(c: KClass) -> KClass:
         raise ValueError("q_to_d expects a Q-basis class")
     coeffs = [sum(c.coeffs[s:], ZERO) for s in range(c.m + 1)]
     return KClass(DBASIS, c.n, tuple(coeffs))
-
-
-def d_to_q(c: KClass) -> KClass:
-    """Inverse of q_to_d, by differencing consecutive D-coefficients."""
-    if c.basis != DBASIS:
-        raise ValueError("d_to_q expects a D-basis class")
-    if c.n % 2:
-        raise ValueError("the Q-basis only exists for even ambient size")
-    m = c.m
-    coeffs = [c.coeffs[p] - c.coeffs[p + 1] for p in range(m)]
-    coeffs.append(c.coeffs[m])
-    return KClass(QBASIS, c.n, tuple(coeffs))
 
 
 def localcoh_class_even_Q(m: int, k: int) -> KClass:

@@ -1,4 +1,4 @@
-"""Integer partitions, box enumeration, and Gaussian binomial coefficients.
+"""Integer partitions and Gaussian binomial coefficients.
 
 A partition here is a weakly decreasing tuple of nonnegative integers with an
 explicit ambient length: trailing zeros count toward the length but not toward
@@ -54,20 +54,8 @@ class Partition:
         """The parts with trailing zeros removed."""
         return _trim(self._parts)
 
-    def size(self) -> int:
-        return sum(self._parts)
-
-    def padded(self, length: int) -> Partition:
-        return Partition(self._parts, length=length)
-
     def __len__(self) -> int:
         return len(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
-
-    def __iter__(self):
-        return iter(self._parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -95,18 +83,6 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(ge, a, b))
 
 
-def enumerate_box(c: int, d: int) -> Iterator[Partition]:
-    """All partitions with at most c parts, each part at most d.
-
-    Yields each partition exactly once (ambient length c), in lexicographically
-    descending order starting from the full c x d rectangle.  The number of
-    partitions produced is the binomial coefficient C(c+d, d).
-    """
-    if c < 0 or d < 0:
-        raise ValueError("box dimensions must be nonnegative")
-    return (Partition(parts) for parts in _weakly_decreasing(c, 0, d))
-
-
 def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Weakly decreasing tuples of the given length with entries in [lo, hi],
     in lexicographically descending order; just () at length 0."""
@@ -115,26 +91,6 @@ def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...
 
 def _doubled(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(chain.from_iterable(zip(v, v)))
-
-
-def double_columns(z: Partition) -> Partition:
-    """Repeat every part twice: (z1, z2, ...) -> (z1, z1, z2, z2, ...).
-
-    On Young diagrams this doubles every column length; the result has ambient
-    length 2 * len(z).
-    """
-    return Partition(_doubled(z.parts))
-
-
-def conjugate(z: Partition) -> Partition:
-    """Transpose of the Young diagram; ambient length is the widest row of z."""
-    profile = z.profile
-    width = profile[0] if profile else 0
-    cols = [0] * width
-    for p in profile:
-        for i in range(p):
-            cols[i] += 1
-    return Partition(cols, length=width)
 
 
 # _gauss(a, b) takes min(b, a-b) passes over one list about as long as its

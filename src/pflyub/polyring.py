@@ -139,7 +139,7 @@ class QPoly:
 
 
 # The benchmark's tracer (perfbench/spans.py) and its self-test wrap the
-# operators under this older name; ROADMAP item 6 removes the line.
+# operators under this older name, so the alias stays while they use it.
 BiLaurentPoly = QPoly
 
 

@@ -51,12 +51,6 @@ class DominantWeight:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __getitem__(self, i):
-        return self._entries[i]
-
-    def __iter__(self):
-        return iter(self._entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DominantWeight):
             return NotImplemented
@@ -147,6 +141,7 @@ def in_B(weight: DominantWeight, s: int, n: int) -> bool:
 
 
 def _enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
+    """The entries of every weight of B(s, n) whose entries have absolute value <= bound."""
     m = n // 2
     if n % 2 == 0:
         # pair values v_i = lambda_{2i-1} = lambda_{2i}
@@ -160,14 +155,6 @@ def _enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
         return set()
     tails = [(2 * s,) + _doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]
     return {_doubled(u) + tail for u in _weakly_decreasing(s, 2 * s, bound) for tail in tails}
-
-
-def enumerate_B(s: int, n: int, bound: int) -> set[DominantWeight]:
-    """All weights of B(s, n) whose entries have absolute value <= bound."""
-    _check_s(s, n)
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
-    return set(map(DominantWeight, _enumerate_B(s, n, bound)))
 
 
 def verify_pushforward(m: int, p: int, bound: int) -> dict:

@@ -1,7 +1,6 @@
 import pytest
 
 from pflyub.characters import (
-    IdealI,
     ModuleN,
     PfPole,
     SimpleD,
@@ -9,49 +8,11 @@ from pflyub.characters import (
     verify_limitpfaff,
 )
 from pflyub.errors import VerificationError
-from pflyub.partitions import Partition, double_columns
 from pflyub.weights_bott import DominantWeight, dual, in_B
 
 
 def doubled(values):
     return DominantWeight([x for v in values for x in (v, v)])
-
-
-class TestIdealI:
-    def test_generator_is_member(self):
-        z = Partition((1, 0, 0))
-        mu = DominantWeight(double_columns(z).parts)
-        assert IdealI(z, 6).contains(mu)
-
-    def test_membership_is_dominance(self):
-        spec = IdealI(Partition((2, 1)), 4)
-        assert spec.contains(doubled((2, 1)))
-        assert spec.contains(doubled((3, 1)))
-        assert spec.contains(doubled((2, 2)))
-        assert not spec.contains(doubled((2, 0)))
-        assert not spec.contains(doubled((1, 1)))
-
-    def test_monotone_in_x(self):
-        # x >= z and x' >= x implies membership of x' as well
-        spec = IdealI(Partition((1, 1, 0)), 6)
-        members = [x for x in [(1, 1, 0), (2, 1, 0), (2, 2, 2), (5, 1, 1)]]
-        for x in members:
-            assert spec.contains(doubled(x))
-            assert spec.contains(doubled(tuple(v + 1 for v in x)))
-
-    def test_unpaired_and_negative_are_not_members(self):
-        spec = IdealI(Partition((0, 0)), 4)
-        assert not spec.contains(DominantWeight((2, 1, 1, 0)))
-        assert not spec.contains(doubled((1, -1)))
-
-    def test_odd_ambient_pads_with_zero(self):
-        spec = IdealI(Partition((1,)), 3)
-        assert spec.contains(DominantWeight((2, 2, 0)))
-        assert not spec.contains(DominantWeight((2, 2, 1)))
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            IdealI(Partition((1,)), 4).contains(DominantWeight((1, 1)))
 
 
 class TestModuleN:

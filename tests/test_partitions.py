@@ -3,23 +3,26 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pflyub.partitions import (
     Partition,
+    _doubled,
     _gauss,
-    conjugate,
+    _weakly_decreasing,
     dominates,
-    double_columns,
-    enumerate_box,
     gaussian_binomial,
     gaussian_binomial_oracle,
 )
 from pflyub.polyring import ONE, QPoly
 
 
-def profiles(iterable):
-    return sorted(p.profile for p in iterable)
+def box(c, d):
+    """The partitions in a c x d box, as weakly decreasing c-tuples."""
+    return list(_weakly_decreasing(c, 0, d))
+
+
+def profiles(tuples):
+    return sorted(Partition(t).profile for t in tuples)
 
 
 class TestPartition:
@@ -42,40 +45,29 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, -1))
 
-    def test_size(self):
-        assert Partition((4, 3, 1, 0)).size() == 8
-        assert Partition(()).size() == 0
-
 
 class TestEnumerateBox:
     def test_1x1(self):
-        assert profiles(enumerate_box(1, 1)) == [(), (1,)]
+        assert profiles(box(1, 1)) == [(), (1,)]
 
     def test_2x2(self):
-        assert profiles(enumerate_box(2, 2)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+        assert profiles(box(2, 2)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
 
     def test_zero_rows(self):
-        assert profiles(enumerate_box(0, 5)) == [()]
+        assert box(0, 5) == [()]
 
     def test_descending_lex_from_full_rectangle(self):
-        first = next(iter(enumerate_box(3, 2)))
-        assert first.parts == (2, 2, 2)
+        assert box(3, 2)[0] == (2, 2, 2)
 
     @pytest.mark.parametrize("c,d", [(c, d) for c in range(5) for d in range(5)])
     def test_count_and_constraint(self, c, d):
-        seen = set()
-        for p in enumerate_box(c, d):
-            assert len(p) == c
-            assert all(part <= d for part in p.parts)
-            seen.add(p.profile)
-        assert len(seen) == comb(c + d, d)
-        parts = [p.parts for p in enumerate_box(c, d)]
+        parts = box(c, d)
+        assert all(len(p) == c and all(0 <= x <= d for x in p) for p in parts)
+        assert len(set(parts)) == comb(c + d, d)
         assert all(x > y for x, y in zip(parts, parts[1:]))
 
-    @pytest.mark.parametrize("c,d", [(-1, 2), (2, -1)])
-    def test_bad_box_raises_at_the_call(self, c, d):
-        with pytest.raises(ValueError, match="nonnegative"):
-            enumerate_box(c, d)
+    def test_negative_lower_bound(self):
+        assert list(_weakly_decreasing(2, -1, 1)) == [(1, 1), (1, 0), (1, -1), (0, 0), (0, -1), (-1, -1)]
 
 
 class TestDominates:
@@ -90,22 +82,9 @@ class TestDominates:
 
 
 def test_double_columns():
-    assert double_columns(Partition((2, 1))).parts == (2, 2, 1, 1)
-    assert double_columns(Partition(())).parts == ()
-    rect = Partition((3,) * 4)
-    assert double_columns(rect).parts == (3,) * 8
-
-
-class TestConjugate:
-    def test_example(self):
-        assert conjugate(Partition((3, 1))).parts == (2, 1, 1)
-
-    def test_rectangle(self):
-        assert conjugate(Partition((4, 4, 4))).parts == (3, 3, 3, 3)
-
-    @given(st.lists(st.integers(0, 6), max_size=6).map(lambda v: Partition(sorted(v, reverse=True))))
-    def test_involution(self, p):
-        assert conjugate(conjugate(p)) == p
+    assert _doubled((2, 1)) == (2, 2, 1, 1)
+    assert _doubled(()) == ()
+    assert _doubled((3,) * 4) == (3,) * 8
 
 
 class TestGaussianBinomial:
