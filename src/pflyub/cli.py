@@ -1,6 +1,6 @@
-"""Command-line interface.
+"""Command-line interface of pflyub.
 
-Subcommands:
+usage: pflyub COMMAND --option VALUE ...
 
     lyubeznik --n N --k K [--format json|csv|latex]   table to stdout
     genfun    --n N --k K                             L_k(q, w) as JSON terms
@@ -9,62 +9,79 @@ Subcommands:
     bott      --gamma g1,g2,...,gn
     verify    [--n-max N]
 
-Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
-error (an unexpected exception, reported as one stderr line).
+An option takes its value as the next word (--gamma -3,-3,0) or after "="
+(--gamma=-3,-3,0); the last of repeated options wins, and option names must
+match exactly.  -h or --help prints this text.
 
-Each command imports the modules it runs inside its branch of ``_dispatch``,
-so start-up loads only those (``verify`` loads every module).
+Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
+error.  An argument error or an internal error (an unexpected exception) is
+one line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .errors import VerificationError
 
+# command -> {option: (int, a tuple of its choices, or str; its default, None if required)}
+_OPTIONS = {
+    "lyubeznik": {"n": (int, None), "k": (int, None), "format": (("json", "csv", "latex"), "json")},
+    "genfun": {"n": (int, None), "k": (int, None)},
+    "localcoh": {
+        "parity": (("even", "odd"), None),
+        "m": (int, None),
+        "object": (("Q", "D", "pfpole"), None),
+        "index": (int, None),
+    },
+    "gaussian": {"a": (int, None), "b": (int, None), "power": (int, 1)},
+    "bott": {"gamma": (str, None)},
+    "verify": {"n-max": (int, 13)},
+}
+_HELP = ("-h", "--help")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pflyub",
-        description="Lyubeznik numbers of Pfaffian rings and the combinatorics behind them",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("lyubeznik", help="emit the table of Lyubeznik numbers")
-    p_table.add_argument("--n", type=int, required=True, help="matrix size n >= 2")
-    p_table.add_argument("--k", type=int, required=True, help="rank parameter, 0 <= k < n/2")
-    p_table.add_argument("--format", choices=("json", "csv", "latex"), default="json")
-
-    p_gen = sub.add_parser("genfun", help="emit the generating function L_k(q, w)")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--k", type=int, required=True)
-
-    p_loc = sub.add_parser("localcoh", help="origin local cohomology of one module")
-    p_loc.add_argument("--parity", choices=("even", "odd"), required=True)
-    p_loc.add_argument("--m", type=int, required=True)
-    p_loc.add_argument("--object", choices=("Q", "D", "pfpole"), required=True)
-    p_loc.add_argument("--index", type=int, required=True)
-
-    p_gauss = sub.add_parser("gaussian", help="Gaussian binomial coefficient")
-    p_gauss.add_argument("--a", type=int, required=True)
-    p_gauss.add_argument("--b", type=int, required=True)
-    p_gauss.add_argument("--power", type=int, default=1, help="substitute q -> q^power")
-
-    p_bott = sub.add_parser("bott", help="run Bott's algorithm on a weight")
-    p_bott.add_argument("--gamma", required=True, help="comma-separated integers")
-
-    p_verify = sub.add_parser("verify", help="run the full verification suite")
-    p_verify.add_argument("--n-max", type=int, default=13)
-
-    return parser
+def _parse(argv: list[str]) -> tuple[str, dict] | None:
+    """(command, {option: value}) as ``_OPTIONS`` reads ``argv``, or None for a
+    -h/--help in the place of a command or an option; any other malformed
+    word raises ValueError."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        return None
+    if command not in _OPTIONS:
+        raise ValueError(f"expected a command ({', '.join(_OPTIONS)}), got {command!r}")
+    spec, given, words = _OPTIONS[command], {}, iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            return None
+        option, eq, value = word[2:].partition("=")
+        if word[:2] != "--" or option not in spec:
+            raise ValueError(f"{command}: unrecognized argument {word!r}")
+        given[option] = value if eq else next(words, None)
+        if given[option] is None:
+            raise ValueError(f"{command}: --{option} expects a value")
+    opts = {}
+    for option, (kind, default) in spec.items():
+        value = opts[option] = given.get(option, default)
+        if value is None:
+            raise ValueError(f"{command}: --{option} is required")
+        if kind is int and option in given:
+            try:
+                opts[option] = int(value)
+            except ValueError:
+                raise ValueError(f"{command}: --{option}: invalid int value {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{command}: --{option}: invalid choice {value!r} (choose from {', '.join(kind)})")
+    return command, opts
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(__doc__)
+            return 0
+        return _dispatch(*parsed)
     except (ValueError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -76,31 +93,31 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "lyubeznik":
+# Each command imports the modules it runs inside its branch, so start-up
+# loads only those (``verify`` loads every module).
+def _dispatch(command: str, opts: dict) -> int:
+    if command == "lyubeznik":
         from .lyubeznik import build_table
 
-        table = build_table(args.n, args.k)
-        if args.format == "json":
+        table = build_table(opts["n"], opts["k"])
+        if opts["format"] == "json":
             print(table.to_json())
-        elif args.format == "csv":
+        elif opts["format"] == "csv":
             sys.stdout.write(table.to_csv())
         else:
             sys.stdout.write(table.to_latex())
         return 0
 
-    if args.command == "genfun":
+    if command == "genfun":
         from .lyubeznik import build_table
 
-        print(build_table(args.n, args.k).to_genfun_json())
+        print(build_table(opts["n"], opts["k"]).to_genfun_json())
         return 0
 
-    if args.command == "localcoh":
-        import json
-
+    if command == "localcoh":
         from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 
-        key = (args.parity, args.object)
+        key = (opts["parity"], opts["object"])
         table = {
             ("even", "Q"): h0_Q,
             ("even", "D"): h0_D_even,
@@ -108,22 +125,20 @@ def _dispatch(args: argparse.Namespace) -> int:
             ("odd", "D"): h0_D_odd,
         }
         if key not in table:
-            raise ValueError(f"no {args.object} family on the {args.parity} side")
-        print(json.dumps(table[key](args.m, args.index).to_obj()))
+            raise ValueError(f"no {opts['object']} family on the {opts['parity']} side")
+        print(table[key](opts["m"], opts["index"]).to_json())
         return 0
 
-    if args.command == "gaussian":
-        import json
-
+    if command == "gaussian":
         from .partitions import gaussian_binomial
 
-        print(json.dumps(gaussian_binomial(args.a, args.b, args.power).to_obj()))
+        print(gaussian_binomial(opts["a"], opts["b"], opts["power"]).to_json())
         return 0
 
-    if args.command == "bott":
+    if command == "bott":
         from .weights_bott import bott
 
-        gamma = [int(part) for part in args.gamma.split(",")]
+        gamma = [int(part) for part in opts["gamma"].split(",")]
         result = bott(gamma)
         if result.is_zero:
             print("zero")
@@ -132,22 +147,20 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"degree {result.degree}, weight {entries}")
         return 0
 
-    if args.command == "verify":
-        import json
+    # verify, the one command left
+    import json
 
-        from .verify import verify_all
+    from .verify import verify_all
 
-        report = verify_all(args.n_max)
-        for suite in report["suites"]:
-            status = "PASS" if suite["pass"] else "FAIL"
-            line = f"{suite['name']}: {status} ({suite['checked']} checks)"
-            if suite["error"]:
-                line += f" -- {suite['error']}"
-            print(line)
-        print(json.dumps(report))
-        return 0 if report["pass"] else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+    report = verify_all(opts["n-max"])
+    for suite in report["suites"]:
+        status = "PASS" if suite["pass"] else "FAIL"
+        line = f"{suite['name']}: {status} ({suite['checked']} checks)"
+        if suite["error"]:
+            line += f" -- {suite['error']}"
+        print(line)
+    print(json.dumps(report))
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

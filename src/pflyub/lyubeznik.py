@@ -124,7 +124,7 @@ class LyubeznikTable:
 
     def to_genfun_json(self) -> str:
         """L_k(q, w) as JSON terms {"eq": i, "ew": j, "c": lambda_{i,j}} sorted
-        by (i, j), in the term format of ``QPoly.to_obj``, formatted directly."""
+        by (i, j), in the term format of ``QPoly.to_json``, formatted directly."""
         return "[" + self._cells('{"eq": %d, "ew": %%d, "c": %%d}', ", ") + "]"
 
     def to_csv(self) -> str:

@@ -23,7 +23,7 @@ from itertools import accumulate, chain, combinations_with_replacement
 from operator import ge, sub
 from typing import Iterator, Sequence
 
-from .polyring import QPoly
+from .polyring import QPoly, _raw
 
 
 class Partition:
@@ -117,7 +117,8 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> QPoly:
     if degree > _MAX_DEGREE:
         raise ValueError(f"binomial({a}, {b}) has degree {degree}, above the limit {_MAX_DEGREE}")
     coeffs = _gauss(a, b) if degree else (1,)
-    return QPoly({power * e: c for e, c in enumerate(coeffs)})
+    # every coefficient is a positive int, so the terms are already canonical
+    return _raw(dict(zip(range(0, power * len(coeffs), power), coeffs)))
 
 
 @lru_cache(maxsize=None)

@@ -115,10 +115,12 @@ class QPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_obj(self) -> list[dict[str, int]]:
-        """JSON-ready term list [{"eq": e, "ew": 0, "c": coeff}] sorted by e;
-        ``ew`` is the CLI's term format, shared with ``genfun``."""
-        return [{"eq": e, "ew": 0, "c": self._terms[e]} for e in sorted(self._terms)]
+    def to_json(self) -> str:
+        """The JSON term list [{"eq": e, "ew": 0, "c": coeff}] sorted by e, with
+        the bytes of ``json.dumps``, formatted directly; ``ew`` is the CLI's
+        term format, shared with ``genfun``."""
+        pairs = [x for term in sorted(self._terms.items()) for x in term]
+        return "[" + ", ".join(['{"eq": %d, "ew": 0, "c": %d}'] * len(self._terms)) % tuple(pairs) + "]"
 
     # -- equality & display --------------------------------------------------
 

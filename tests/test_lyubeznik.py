@@ -381,7 +381,6 @@ class TestCli:
         assert sum(t["c"] for t in terms) == comb(600, 2)
 
     def test_bott_nonzero(self, capsys):
-        # leading-dash values need the = form
         assert main(["bott", "--gamma=-3,-3,0"]) == 0
         assert capsys.readouterr().out.strip() == "degree 2, weight -2,-2,-2"
 
@@ -398,6 +397,56 @@ class TestCli:
         assert main(["lyubeznik", "--n", "6", "--k", "9"]) == 2
         assert main(["gaussian", "--a", "1", "--b", "2"]) == 2
         assert main(["bott", "--gamma", "not,numbers"]) == 2
+
+    # each malformed command line is refused by a ValueError, not a SystemExit
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lyubeznik", "--n", "six", "--k", "1"],  # a non-integer value
+            ["lyubeznik", "--n=", "--k", "1"],
+            ["lyubeznik", "--n", "6", "--k", "1", "--format", "xml"],  # a bad choice
+            ["localcoh", "--parity", "even", "--m", "3", "--object", "E", "--index", "1"],
+            ["gaussian", "--a", "4", "--b", "2", "--q", "4"],  # an unknown option
+            ["gaussian", "--a", "4", "--b", "2", "-power", "4"],
+            ["gaussian", "--a", "4", "--b", "2", "--help=yes"],
+            ["lyubeznik", "6", "--n", "6", "--k", "1"],  # a stray positional word
+            ["lyubeznik", "--n", "6", "--k", "1", "--"],
+            ["lyubeznik", "--n", "6", "--k"],  # a value missing at the end
+            ["localcoh", "--parity", "even", "--m", "3", "--object", "Q"],  # a required option left out
+            ["bott"],
+            [],  # no command at all
+            ["table", "--n", "6", "--k", "1"],  # an unknown command
+            ["--n", "6", "--k", "1"],
+            ["lyubeznik", "--n", "6", "--k", "1", "--form", "csv"],  # abbreviations are refused
+            ["verify", "--n", "4"],
+            ["gaussian", "--a", "4", "--b", "2", "--POWER", "4"],
+        ],
+    )
+    def test_malformed_arguments_exit_2_in_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_option_forms_agree(self, capsys):
+        def out(argv):
+            assert main(argv) == 0, argv
+            return capsys.readouterr().out
+
+        spaced = out(["gaussian", "--a", "6", "--b", "3", "--power", "4"])
+        assert out(["gaussian", "--a=6", "--b=3", "--power=4"]) == spaced
+        assert out(["gaussian", "--power", "4", "--b=3", "--a", "6"]) == spaced
+        assert out(["gaussian", "--a", "9", "--b=2", "--a=6", "--power", "1", "--b", "3", "--power=4"]) == spaced
+        assert out(["bott", "--gamma", "-3,-3,0"]) == out(["bott", "--gamma=-3,-3,0"]) == "degree 2, weight -2,-2,-2\n"
+        assert out(["lyubeznik", "--format", "json", "--n", "6", "--k", "1"]) == out(["lyubeznik", "--n=6", "--k=1"])
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lyubeznik", "--help"], ["gaussian", "--a", "4", "-h", "--b"]])
+    def test_help_prints_the_usage_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "usage: pflyub COMMAND" in captured.out
+        assert "lyubeznik --n N --k K [--format json|csv|latex]" in captured.out
 
     # sizes past sys.maxsize fail before anything is allocated
     @pytest.mark.parametrize(
@@ -516,7 +565,7 @@ class TestCli:
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))
-_CLI_ARGS = st.one_of(
+_WELL_FORMED = st.one_of(
     st.builds(lambda nk, fmt: ["lyubeznik", *nk, f"--format={fmt}"], _N_K, st.sampled_from(["json", "csv", "latex"])),
     _N_K.map(lambda nk: ["genfun", *nk]),
     st.builds(
@@ -535,6 +584,14 @@ _CLI_ARGS = st.one_of(
     st.lists(st.integers(-10, 10), min_size=1, max_size=6).map(
         lambda gamma: ["bott", "--gamma=" + ",".join(map(str, gamma))]
     ),
+)
+# words that stand where no word of that form may: a stray positional, single
+# dashes, a bare or unknown option, an abbreviation, a help flag
+_MALFORMED = st.sampled_from(["6", "", "--", "-n", "--n", "--=4", "--N=6", "--form=csv", "--help=x", "-h", "--help"])
+_CLI_ARGS = st.one_of(
+    _WELL_FORMED,
+    st.builds(lambda argv, i, word: argv[:i] + [word] + argv[i:], _WELL_FORMED, st.integers(0, 6), _MALFORMED),
+    st.lists(_MALFORMED, max_size=3),
 )
 
 

@@ -99,6 +99,16 @@ class TestGaussianBinomial:
         # partitions in a 2x2 box, by size: 1, 1, 2, 1, 1
         assert gaussian_binomial(4, 2) == ONE + q(1) + 2 * q(2) + q(3) + q(4)
 
+    def test_equals_the_checked_constructor(self):
+        # the result wraps the kernel's coefficients without the QPoly checks
+        for a in range(21):
+            for b in range(a + 1):
+                for power in (1, 4):
+                    g = gaussian_binomial(a, b, power)
+                    expected = QPoly({power * e: c for e, c in enumerate(_gauss(a, b))})
+                    assert g == expected and hash(g) == hash(expected), (a, b, power)
+                    assert g.to_json() == expected.to_json()
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gaussian_binomial(1, 2)

@@ -66,9 +66,16 @@ def test_display_order_and_str():
 
 def test_serialization_roundtrip():
     p = poly({5: 2, -2: 7, 0: -1})
-    obj = p.to_obj()
-    assert obj == [{"eq": -2, "ew": 0, "c": 7}, {"eq": 0, "ew": 0, "c": -1}, {"eq": 5, "ew": 0, "c": 2}]
-    assert poly({t["eq"]: t["c"] for t in json.loads(json.dumps(obj))}) == p
+    terms = [{"eq": -2, "ew": 0, "c": 7}, {"eq": 0, "ew": 0, "c": -1}, {"eq": 5, "ew": 0, "c": 2}]
+    assert p.to_json() == json.dumps(terms)
+    assert poly({t["eq"]: t["c"] for t in json.loads(p.to_json())}) == p
+    assert ZERO.to_json() == "[]" == json.dumps([])
+
+
+@given(st.dictionaries(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20), max_size=8).map(QPoly))
+def test_to_json_is_json_dumps_of_the_sorted_terms(p):
+    terms = [{"eq": e, "ew": 0, "c": c} for e, c in sorted(p.terms().items())]
+    assert p.to_json() == json.dumps(terms)
 
 
 def test_non_integer_rejected():
