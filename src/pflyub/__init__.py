@@ -22,7 +22,7 @@ _HOME = {
     name: module
     for module, names in {
         "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
-        "ext_mult": ("ZPair", "ext_series_closed", "ext_series_enum", "zset_rectangle", "zset_thickened"),
+        "ext_mult": ("ext_series_closed", "ext_series_enum", "zset_rectangle", "zset_thickened"),
         "characters": ("ModuleN", "PfPole", "SimpleD", "verify_limitpfaff"),
         "kgroup": (
             "KClass",
@@ -34,9 +34,9 @@ _HOME = {
         ),
         "lyubeznik": ("LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
-        "partitions": ("Partition", "dominates", "gaussian_binomial", "gaussian_binomial_oracle"),
+        "partitions": ("dominates", "gaussian_binomial", "gaussian_binomial_oracle"),
         "polyring": ("QPoly",),
-        "weights_bott": ("BottResult", "DominantWeight", "bott", "dual", "in_B", "verify_pushforward"),
+        "weights_bott": ("bott", "dual", "enumerate_B", "in_B", "verify_pushforward"),
         "verify": ("verify_all",),
     }.items()
     for name in names

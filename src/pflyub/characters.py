@@ -1,7 +1,8 @@
 """GL-character sets of the equivariant objects on skew-symmetric matrices.
 
 Every decomposition handled here is multiplicity free, so each object is fully
-described by a membership test on dominant weights.  Weights of modules built
+described by a membership test on dominant weights, given as weakly decreasing
+integer tuples of the ambient length n.  Weights of modules built
 from W (subspaces of the polynomial ring or its Pfaffian localization) are kept
 as W-weights; conditions stated on the dual side are checked through ``dual``.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import VerificationError
 from .partitions import _doubled, _weakly_decreasing, dominates
-from .weights_bott import DominantWeight, dual, in_B
+from .weights_bott import dual, in_B
 
 
 def _paired_half(entries: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -34,22 +35,13 @@ def _paired_half(entries: tuple[int, ...]) -> tuple[int, ...] | None:
     return half if half == entries[1::2] else None
 
 
-class CharSpec:
-    """Base for character-set specifications; subclasses implement contains()."""
-
-    n: int
-
-    def contains(self, mu: DominantWeight) -> bool:
-        raise NotImplementedError
-
-    def _check_length(self, mu: DominantWeight) -> tuple[int, ...]:
-        if len(mu) != self.n:
-            raise ValueError(f"weight has length {len(mu)}, ambient requires {self.n}")
-        return mu.entries
+def _check_length(mu: tuple[int, ...], n: int) -> None:
+    if len(mu) != n:
+        raise ValueError(f"weight has length {len(mu)}, ambient requires {n}")
 
 
 @dataclass(frozen=True)
-class ModuleN(CharSpec):
+class ModuleN:
     """Character of N_{k,e}, the (m-k) x e invariant ideal twisted by Pf^(-e-2k)."""
 
     k: int
@@ -68,16 +60,14 @@ class ModuleN(CharSpec):
         threshold = (-2 * self.k,) * (m - self.k) + (-self.e - 2 * self.k,) * self.k
         object.__setattr__(self, "threshold", threshold)
 
-    def contains(self, mu: DominantWeight) -> bool:
-        entries = self._check_length(mu)
-        half = _paired_half(entries)
-        if half is None:
-            return False
-        return dominates(half, self.threshold)
+    def contains(self, mu: tuple[int, ...]) -> bool:
+        _check_length(mu, self.n)
+        half = _paired_half(mu)
+        return half is not None and dominates(half, self.threshold)
 
 
 @dataclass(frozen=True)
-class PfPole(CharSpec):
+class PfPole:
     """Character of the module generated by Pf^(-2k) over the Weyl algebra."""
 
     k: int
@@ -90,16 +80,13 @@ class PfPole(CharSpec):
         if not 0 <= self.k <= m - 1:
             raise ValueError(f"require 0 <= k <= m-1, got k={self.k}, m={m}")
 
-    def contains(self, mu: DominantWeight) -> bool:
-        entries = self._check_length(mu)
-        if _paired_half(entries) is None:
-            return False
-        lam = dual(mu).entries
-        return lam[2 * self.k] <= 2 * self.k
+    def contains(self, mu: tuple[int, ...]) -> bool:
+        _check_length(mu, self.n)
+        return _paired_half(mu) is not None and dual(mu)[2 * self.k] <= 2 * self.k
 
 
 @dataclass(frozen=True)
-class SimpleD(CharSpec):
+class SimpleD:
     """Character of the simple equivariant module attached to the rank-2s orbit."""
 
     s: int
@@ -110,15 +97,14 @@ class SimpleD(CharSpec):
         if not 0 <= self.s <= m:
             raise ValueError(f"require 0 <= s <= m, got s={self.s}, m={m}")
 
-    def contains(self, mu: DominantWeight) -> bool:
-        self._check_length(mu)
-        m = self.n // 2
-        return in_B(dual(mu), m - self.s, self.n)
+    def contains(self, mu: tuple[int, ...]) -> bool:
+        _check_length(mu, self.n)
+        return in_B(dual(mu), self.n // 2 - self.s, self.n)
 
 
-def paired_window(m: int, bound: int) -> list[DominantWeight]:
+def paired_window(m: int, bound: int) -> list[tuple[int, ...]]:
     """All paired dominant weights of length 2m with entries in [-bound, bound]."""
-    return [DominantWeight(_doubled(half)) for half in _weakly_decreasing(m, -bound, bound)]
+    return list(map(_doubled, _weakly_decreasing(m, -bound, bound)))
 
 
 def verify_limitpfaff(m: int, k: int, bound: int) -> dict:

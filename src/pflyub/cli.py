@@ -138,13 +138,8 @@ def _dispatch(command: str, opts: dict) -> int:
     if command == "bott":
         from .weights_bott import bott
 
-        gamma = [int(part) for part in opts["gamma"].split(",")]
-        result = bott(gamma)
-        if result.is_zero:
-            print("zero")
-        else:
-            entries = ",".join(str(e) for e in result.weight.entries)
-            print(f"degree {result.degree}, weight {entries}")
+        degree, weight = bott([int(part) for part in opts["gamma"].split(",")])
+        print("zero" if degree is None else f"degree {degree}, weight {','.join(map(str, weight))}")
         return 0
 
     # verify, the one command left

@@ -13,31 +13,17 @@ The value does not depend on b, which only gates validity.
 The Z-sets record which subquotient pairs (x, p) occur in the standard
 filtration of S/I_z, for the two shapes of z needed downstream: a rectangle
 a x (e+1), and the same rectangle with a column of ones glued underneath.
+A pair is the tuple (x, p): x a partition as a weakly decreasing m-tuple with
+x_1 = ... = x_{p+1}, and 0 <= p < m.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
-from .partitions import Partition, _weakly_decreasing, gaussian_binomial
+from .partitions import _weakly_decreasing, gaussian_binomial
 from .polyring import QPoly
-
-
-@dataclass(frozen=True)
-class ZPair:
-    """A filtration label (x, p): partition x with x_1 = ... = x_{p+1}."""
-
-    x: Partition
-    p: int
-
-    def __post_init__(self):
-        if not 0 <= self.p < len(self.x):
-            raise ValueError(f"require 0 <= p < len(x), got p={self.p}, len={len(self.x)}")
-        head = self.x.parts[: self.p + 1]
-        if any(v != head[0] for v in head):
-            raise ValueError(f"first p+1 = {self.p + 1} parts of {self.x} must be equal")
 
 
 def ext_series_enum(m: int, a: int, b: int) -> QPoly:
@@ -62,19 +48,17 @@ def _check_args(m: int, a: int, b: int) -> None:
         raise ValueError(f"require b >= 2a-1 = {2 * a - 1}, got b={b}")
 
 
-def zset_rectangle(m: int, a: int, e: int) -> frozenset[ZPair]:
+def zset_rectangle(m: int, a: int, e: int) -> frozenset[tuple[tuple[int, ...], int]]:
     """Filtration labels of the quotient by an a x (e+1) rectangle ideal:
     all (x, a-1) with x in P(m) and x_1 = ... = x_a <= e."""
     if not 1 <= a <= m:
         raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
     if e < 0:
         raise ValueError(f"require e >= 0, got e={e}")
-    return frozenset(
-        ZPair(Partition((v,) * a + tail), a - 1) for v in range(e + 1) for tail in _weakly_decreasing(m - a, 0, v)
-    )
+    return frozenset(((v,) * a + tail, a - 1) for v in range(e + 1) for tail in _weakly_decreasing(m - a, 0, v))
 
 
-def zset_thickened(m: int, a: int, e: int) -> frozenset[ZPair]:
+def zset_thickened(m: int, a: int, e: int) -> frozenset[tuple[tuple[int, ...], int]]:
     """Filtration labels for the rectangle with a column of ones underneath,
     z = ((e+1)^a, 1^(m-a)): the sentinel (0, m-1) plus all (x, a-1) with
     x_1 = ... = x_a <= e and every part of x at least 1."""
@@ -82,7 +66,5 @@ def zset_thickened(m: int, a: int, e: int) -> frozenset[ZPair]:
         raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
     if e < 0:
         raise ValueError(f"require e >= 0, got e={e}")
-    sentinel = ZPair(Partition((), length=m), m - 1)
-    return frozenset(
-        ZPair(Partition((v,) * a + tail), a - 1) for v in range(1, e + 1) for tail in _weakly_decreasing(m - a, 1, v)
-    ) | {sentinel}
+    labels = frozenset(((v,) * a + tail, a - 1) for v in range(1, e + 1) for tail in _weakly_decreasing(m - a, 1, v))
+    return labels | {((0,) * m, m - 1)}

@@ -1,9 +1,8 @@
 """Integer partitions and Gaussian binomial coefficients.
 
-A partition here is a weakly decreasing tuple of nonnegative integers with an
-explicit ambient length: trailing zeros count toward the length but not toward
-the identity of the partition, so ``Partition((2, 1)) == Partition((2, 1, 0))``
-while their lengths differ.
+A partition here is a plain weakly decreasing tuple of nonnegative integers,
+padded with zeros to a fixed length; ``_weakly_decreasing`` enumerates the
+partitions in a box and, with a negative lower end, windows of weights.
 
 The Gaussian binomial ``binom(a, b)_q`` is computed by the product formula
 
@@ -24,56 +23,6 @@ from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .polyring import QPoly, _raw
-
-
-class Partition:
-    """Weakly decreasing nonnegative integers padded to an ambient length."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts: Sequence[int] = (), length: int | None = None):
-        parts = tuple(parts)
-        for p in parts:
-            if not isinstance(p, int) or p < 0:
-                raise ValueError(f"partition parts must be nonnegative integers, got {p!r}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        if length is not None:
-            trimmed = _trim(parts)
-            if length < len(trimmed):
-                raise ValueError(f"ambient length {length} too short for {trimmed}")
-            parts = trimmed + (0,) * (length - len(trimmed))
-        self._parts = parts
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
-
-    @property
-    def profile(self) -> tuple[int, ...]:
-        """The parts with trailing zeros removed."""
-        return _trim(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.profile == other.profile
-
-    def __hash__(self) -> int:
-        return hash(self.profile)
-
-    def __repr__(self) -> str:
-        return f"Partition({self._parts})"
-
-
-def _trim(parts: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(parts)
-    while n and parts[n - 1] == 0:
-        n -= 1
-    return parts[:n]
 
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:

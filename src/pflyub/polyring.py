@@ -19,8 +19,8 @@ class QPoly:
         data = {}
         if terms:
             for e, c in terms.items():
-                if not (isinstance(e, int) and isinstance(c, int)):
-                    raise TypeError("exponents and coefficients must be integers")
+                if not (isinstance(e, int) and isinstance(c, int)) or bool in (type(e), type(c)):
+                    raise TypeError("exponents and coefficients must be integers, not bool")
                 if c != 0:
                     data[e] = c
         self._terms = data
@@ -125,8 +125,8 @@ class QPoly:
     # -- equality & display --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = QPoly.const(other)
+        if isinstance(other, int):  # not through the constructor, which refuses a bool
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self._terms == other._terms

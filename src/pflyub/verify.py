@@ -14,7 +14,7 @@ from .errors import VerificationError
 from .kgroup import KClass, localcoh_class_even_D, localcoh_class_even_Q, q_to_d, reverse_class
 from .lyubeznik import build_table, valid_k_range
 from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
-from .partitions import Partition, gaussian_binomial, gaussian_binomial_oracle
+from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import ZERO, QPoly
 
 # The largest n_max verify_all takes, so that its work is bounded before any
@@ -131,9 +131,8 @@ def _ext_checks(m_max: int):
                     f"Z-sets not disjoint at (m={m}, a={a}, e={e})",
                 )
                 thick = ext_mult.zset_thickened(m, a, e)
-                sentinel = ext_mult.ZPair(Partition((), length=m), m - 1)
                 _require(
-                    (thick - {sentinel}) <= ext_mult.zset_rectangle(m, a, e + 1),
+                    (thick - {((0,) * m, m - 1)}) <= ext_mult.zset_rectangle(m, a, e + 1),
                     f"Z-set inclusion fails at (m={m}, a={a}, e={e})",
                 )
                 yield

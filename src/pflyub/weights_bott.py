@@ -1,5 +1,7 @@
 """Dominant weights and Bott's algorithm on a Grassmannian.
 
+A weight is a plain tuple of integers; a dominant weight is weakly decreasing.
+
 Bott's algorithm, for a length-n integer sequence gamma and rho = (n-1, ..., 1, 0):
 if gamma + rho has a repeated entry the cohomology vanishes; otherwise the
 unique nonvanishing degree is the number of inversions of gamma + rho (the
@@ -22,7 +24,6 @@ the maximum absolute entry.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Sequence
 
@@ -30,53 +31,9 @@ from .errors import VerificationError
 from .partitions import _doubled, _weakly_decreasing
 
 
-class DominantWeight:
-    """A weakly decreasing integer sequence of fixed ambient length."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Sequence[int]):
-        entries = tuple(entries)
-        for e in entries:
-            if not isinstance(e, int):
-                raise ValueError(f"weight entries must be integers, got {e!r}")
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise ValueError(f"entries must be weakly decreasing, got {entries}")
-        self._entries = entries
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DominantWeight):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return f"DominantWeight({self._entries})"
-
-
-@dataclass(frozen=True)
-class BottResult:
-    """Outcome of Bott's algorithm: Zero, or cohomology in a single degree."""
-
-    degree: int | None
-    weight: DominantWeight | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree is None
-
-
-def _bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, None]:
-    """Bott's algorithm on plain tuples: (degree, weight entries), or (None, None)."""
+def bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, None]:
+    """Run Bott's algorithm on an integer sequence gamma: (degree, dominant
+    weight), or (None, None) when the cohomology vanishes."""
     n = len(gamma)
     rho = range(n - 1, -1, -1)
     v = list(map(add, gamma, rho))
@@ -94,21 +51,9 @@ def _bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, Non
     return inversions, tuple(map(sub, seen, rho))
 
 
-def bott(gamma: Sequence[int]) -> BottResult:
-    """Run Bott's algorithm on an arbitrary integer sequence gamma."""
-    degree, weight = _bott(gamma)
-    if degree is None:
-        return BottResult(None, None)
-    return BottResult(degree, DominantWeight(weight))
-
-
-def _dual(entries: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(entries)))
-
-
-def dual(weight: DominantWeight) -> DominantWeight:
+def dual(weight: tuple[int, ...]) -> tuple[int, ...]:
     """The dual weight (-w_n, ..., -w_1); an involution."""
-    return DominantWeight(_dual(weight.entries))
+    return tuple(map(neg, reversed(weight)))
 
 
 def _check_s(s: int, n: int) -> None:
@@ -116,7 +61,9 @@ def _check_s(s: int, n: int) -> None:
         raise ValueError(f"require 0 <= s <= floor(n/2), got s={s}, n={n}")
 
 
-def _in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
+def in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
+    """Membership of a dominant weight in B(s, n); False unless it has length n."""
+    _check_s(s, n)
     if len(lam) != n:
         return False
     m = n // 2
@@ -134,14 +81,9 @@ def _in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
     return lam[0 : 2 * s : 2] == lam[1 : 2 * s : 2] and lam[2 * s + 1 :: 2] == lam[2 * s + 2 :: 2]
 
 
-def in_B(weight: DominantWeight, s: int, n: int) -> bool:
-    """Membership of a length-n dominant weight in B(s, n)."""
+def enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
+    """Every weight of B(s, n) whose entries have absolute value <= bound."""
     _check_s(s, n)
-    return _in_B(weight.entries, s, n)
-
-
-def _enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
-    """The entries of every weight of B(s, n) whose entries have absolute value <= bound."""
     m = n // 2
     if n % 2 == 0:
         # pair values v_i = lambda_{2i-1} = lambda_{2i}
@@ -177,36 +119,28 @@ def verify_pushforward(m: int, p: int, bound: int) -> dict:
     expected_degree = 2 * m - 2 * p
     zero_count = 0
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    domain = _enumerate_B(m - p, 2 * m, bound)
+    domain = enumerate_B(m - p, 2 * m, bound)
     for lam in sorted(domain):
-        degree, weight = _bott(_dual(lam) + (0,))
+        degree, weight = bott(dual(lam) + (0,))
         if degree is None:
             zero_count += 1
             continue
         if degree != expected_degree:
             raise VerificationError(
-                f"pushforward(m={m}, p={p}): {DominantWeight(lam)} lands in degree "
-                f"{degree}, expected {expected_degree}"
+                f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
             )
-        image = _dual(weight)
-        if not _in_B(image, m - p, 2 * m + 1):
+        image = dual(weight)
+        if not in_B(image, m - p, 2 * m + 1):
             raise VerificationError(
-                f"pushforward(m={m}, p={p}): image {DominantWeight(image)} of {DominantWeight(lam)} "
-                f"is not in B({m - p}, {2 * m + 1})"
+                f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"
             )
         if image in images:
-            raise VerificationError(
-                f"pushforward(m={m}, p={p}): {DominantWeight(lam)} and {DominantWeight(images[image])} "
-                f"share the image {DominantWeight(image)}"
-            )
+            raise VerificationError(f"pushforward(m={m}, p={p}): {lam} and {images[image]} share the image {image}")
         images[image] = lam
     if bound >= 2 * m + 2:
-        missing = _enumerate_B(m - p, 2 * m + 1, bound - 2) - images.keys()
+        missing = enumerate_B(m - p, 2 * m + 1, bound - 2) - images.keys()
         if missing:
-            raise VerificationError(
-                f"pushforward(m={m}, p={p}): window weight "
-                f"{DominantWeight(min(missing))} has no preimage"
-            )
+            raise VerificationError(f"pushforward(m={m}, p={p}): window weight {min(missing)} has no preimage")
     return {
         "m": m,
         "p": p,

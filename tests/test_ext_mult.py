@@ -4,8 +4,7 @@ from math import comb
 
 import pytest
 
-from pflyub.ext_mult import ZPair, ext_series_closed, ext_series_enum, zset_rectangle, zset_thickened
-from pflyub.partitions import Partition
+from pflyub.ext_mult import ext_series_closed, ext_series_enum, zset_rectangle, zset_thickened
 from pflyub.polyring import QPoly
 
 
@@ -15,14 +14,15 @@ def q(e):
 
 class TestZPair:
     def test_head_must_be_constant(self):
-        ZPair(Partition((2, 2, 1)), 1)
-        with pytest.raises(ValueError):
-            ZPair(Partition((2, 1, 1)), 1)
-        with pytest.raises(ValueError):
-            ZPair(Partition((1, 1)), 2)
-
-    def test_equality_ignores_trailing_zeros(self):
-        assert ZPair(Partition((1, 1)), 0) == ZPair(Partition((1, 1, 0)), 0)
+        # every label (x, p) is a partition x of full length m, with
+        # 0 <= p < m and x_1 = ... = x_{p+1}
+        for m in range(1, 6):
+            for a in range(1, m + 1):
+                for e in range(4):
+                    for x, p in zset_rectangle(m, a, e) | zset_thickened(m, a, e):
+                        assert len(x) == m and 0 <= p < m
+                        assert list(x) == sorted(x, reverse=True) and min(x) >= 0
+                        assert len(set(x[: p + 1])) == 1
 
 
 class TestSeries:
@@ -69,31 +69,27 @@ class TestSeries:
 class TestZSets:
     def test_rectangle_e0_zero_profile_only(self):
         got = zset_rectangle(3, 2, 0)
-        assert got == {ZPair(Partition((), length=3), 1)}
+        assert got == {((0, 0, 0), 1)}
 
     def test_rectangle_members(self):
         got = zset_rectangle(2, 1, 1)
-        assert got == {
-            ZPair(Partition((0, 0)), 0),
-            ZPair(Partition((1, 0)), 0),
-            ZPair(Partition((1, 1)), 0),
-        }
+        assert got == {((0, 0), 0), ((1, 0), 0), ((1, 1), 0)}
 
     def test_thickened_m2_a1_e1(self):
         got = zset_thickened(2, 1, 1)
-        assert got == {ZPair(Partition((), length=2), 1), ZPair(Partition((1, 1)), 0)}
+        assert got == {((0, 0), 1), ((1, 1), 0)}
 
     def test_thickened_always_has_sentinel(self):
         for m in range(1, 6):
             for a in range(1, m + 1):
                 for e in range(4):
-                    assert ZPair(Partition((), length=m), m - 1) in zset_thickened(m, a, e)
+                    assert ((0,) * m, m - 1) in zset_thickened(m, a, e)
 
     def test_thickened_nonsentinel_parts_positive(self):
-        for pair in zset_thickened(4, 2, 3):
-            if pair.p == 3:
+        for x, p in zset_thickened(4, 2, 3):
+            if p == 3:
                 continue
-            assert Partition(pair.x.parts, length=4).parts[-1] >= 1
+            assert len(x) == 4 and x[-1] >= 1
 
     def test_disjointness(self):
         # labels of the rank filtration at level k are disjoint from level k-1
@@ -108,7 +104,7 @@ class TestZSets:
             for k in range(1, m):
                 a = m - k
                 for e in range(5):
-                    thick = zset_thickened(m, a, e) - {ZPair(Partition((), length=m), m - 1)}
+                    thick = zset_thickened(m, a, e) - {((0,) * m, m - 1)}
                     assert thick <= zset_rectangle(m, a, e + 1)
                     # the sharp form: the same cap already suffices
                     assert thick <= zset_rectangle(m, a, e)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+from itertools import product
 from math import comb
 
 import pytest
@@ -562,6 +563,11 @@ class TestCli:
         ]
         assert len(commands) == 160
         assert self.cli_digest(capsys, commands) == "006bb5322ec11e9af3ef40bf42e1102267b5f2c5812d0849faed7030dc44ec42"
+
+    def test_bott_bytes(self, capsys):
+        commands = [["bott", "--gamma=" + ",".join(map(str, gamma))] for gamma in product(range(-2, 3), repeat=4)]
+        assert len(commands) == 625
+        assert self.cli_digest(capsys, commands) == "11d90e1c61bd3e7dd8a48bc71f3ad86a8b8129138d389edf20a7f004b9b297e7"
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))

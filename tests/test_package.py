@@ -139,7 +139,6 @@ print(json.dumps(sorted(unreached)))
 # Public code that no command, check or benchmark enters, kept on purpose.
 UNREACHED_BY_DESIGN = {
     "characters.SimpleD": "the independent reference for the pole order filtration's successive quotients",
-    "weights_bott.in_B": "the membership predicate that SimpleD and the B(s, n) enumeration tests check against",
 }
 
 

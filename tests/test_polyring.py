@@ -85,6 +85,14 @@ def test_non_integer_rejected():
         QPoly({0.5: 1})
 
 
+@pytest.mark.parametrize("terms", [{0: True, 1: 2}, {True: 2}, {0: 1, 1: False}])
+def test_bool_exponent_or_coefficient_rejected(terms):
+    with pytest.raises(TypeError, match="not bool"):
+        QPoly(terms)
+    # equality with a bool still compares the constant term, as 1 == True
+    assert QPoly.const(1) == True and QPoly() == False  # noqa: E712
+
+
 def test_exponent_pair_keys_rejected():
     with pytest.raises(TypeError):
         QPoly({(1, 0): 1})

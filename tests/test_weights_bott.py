@@ -1,96 +1,78 @@
+from itertools import product
+
 import pytest
 
 from pflyub.errors import VerificationError
-from pflyub.weights_bott import (
-    BottResult,
-    DominantWeight,
-    bott,
-    _enumerate_B,
-    dual,
-    in_B,
-    verify_pushforward,
-)
-
-
-class TestDominantWeight:
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            DominantWeight((1, 2))
-
-    def test_sequence_protocol(self):
-        w = DominantWeight((3, 1, 0, -2))
-        assert len(w) == 4 and w.entries == (3, 1, 0, -2)
+from pflyub.weights_bott import bott, dual, enumerate_B, in_B, verify_pushforward
 
 
 class TestBott:
     def test_dominant_input_degree_zero(self):
-        r = bott((0, 0, 0))
-        assert r == BottResult(0, DominantWeight((0, 0, 0)))
-        r = bott((5, 2, -1))
-        assert r.degree == 0 and r.weight == DominantWeight((5, 2, -1))
+        assert bott((0, 0, 0)) == (0, (0, 0, 0))
+        assert bott((5, 2, -1)) == (0, (5, 2, -1))
 
     def test_repeated_entry_vanishes(self):
         # gamma + rho = (1, 0, 0)
-        assert bott((-1, -1, 0)).is_zero
+        assert bott((-1, -1, 0)) == (None, None)
 
     def test_two_transpositions(self):
-        r = bott((-3, -3, 0))
-        assert r.degree == 2
-        assert r.weight == DominantWeight((-2, -2, -2))
+        assert bott((-3, -3, 0)) == (2, (-2, -2, -2))
 
     def test_output_always_dominant_and_degree_bounded(self):
-        from itertools import product
-
         n = 4
         for gamma in product(range(-3, 3), repeat=n):
-            r = bott(gamma)
-            if r.is_zero:
+            degree, weight = bott(gamma)
+            if degree is None:
                 continue
-            e = r.weight.entries
-            assert all(e[i] >= e[i + 1] for i in range(n - 1))
-            assert 0 <= r.degree <= n * (n - 1) // 2
+            assert all(weight[i] >= weight[i + 1] for i in range(n - 1))
+            assert 0 <= degree <= n * (n - 1) // 2
 
 
 class TestDual:
     def test_examples(self):
-        assert dual(DominantWeight((2, 2, 2))) == DominantWeight((-2, -2, -2))
-        assert dual(DominantWeight((3, 1))) == DominantWeight((-1, -3))
+        assert dual((2, 2, 2)) == (-2, -2, -2)
+        assert dual((3, 1)) == (-1, -3)
 
     def test_involution(self):
-        w = DominantWeight((4, 0, -1, -5))
+        w = (4, 0, -1, -5)
         assert dual(dual(w)) == w
 
 
 class TestEnumerateB:
     def test_even_rank_one(self):
-        assert sorted(_enumerate_B(1, 2, 3)) == [(1, 1), (2, 2), (3, 3)]
+        assert sorted(enumerate_B(1, 2, 3)) == [(1, 1), (2, 2), (3, 3)]
 
     def test_even_s_zero(self):
-        got = _enumerate_B(0, 4, 2)
+        got = enumerate_B(0, 4, 2)
         assert all(max(w) <= 0 for w in got)
         assert all(w[0] == w[1] and w[2] == w[3] for w in got)
         assert len(got) == 6  # pairs (v1 >= v2) drawn from {0, -1, -2}
 
     def test_odd_example(self):
-        assert sorted(_enumerate_B(1, 3, 3)) == [(2, 2, 2), (3, 3, 2)]
+        assert sorted(enumerate_B(1, 3, 3)) == [(2, 2, 2), (3, 3, 2)]
 
     def test_odd_fixed_entry(self):
-        for w in _enumerate_B(2, 5, 6):
+        for w in enumerate_B(2, 5, 6):
             assert w[4] == 4
 
     def test_predicate_matches_enumeration(self):
         for s, n, bound in [(0, 4, 3), (1, 4, 3), (2, 4, 4), (0, 5, 3), (1, 5, 4), (2, 5, 5)]:
-            got = _enumerate_B(s, n, bound)
+            got = enumerate_B(s, n, bound)
             for w in got:
-                assert in_B(DominantWeight(w), s, n)
-            assert in_B(DominantWeight((0,) * n), s, n) == ((0,) * n in got)
+                assert in_B(w, s, n)
+            assert in_B((0,) * n, s, n) == ((0,) * n in got)
 
     def test_bad_s(self):
-        zero = DominantWeight((0,) * 4)
+        zero = (0,) * 4
         with pytest.raises(ValueError):
             in_B(zero, 3, 4)
         with pytest.raises(ValueError):
             in_B(zero, -1, 4)
+
+    @pytest.mark.parametrize("s,n,bound", [(5, 4, 3), (3, 5, 10), (-1, 4, 3)])
+    def test_enumeration_rejects_bad_s(self, s, n, bound):
+        with pytest.raises(ValueError, match=r"require 0 <= s <= floor\(n/2\)"):
+            enumerate_B(s, n, bound)
 
 
 class TestVerifyPushforward:
@@ -104,14 +86,11 @@ class TestVerifyPushforward:
 
     def test_m1_p0_images_patterned(self):
         # survivor (t, t) maps to the weight dual to (t-1, t-1, 2)
-        from pflyub.weights_bott import bott, dual
-
         for t in range(3, 7):
-            lam = DominantWeight((t, t))
-            r = bott(dual(lam).entries + (0,))
-            assert r.degree == 2
-            assert dual(r.weight) == DominantWeight((t - 1, t - 1, 2))
-            assert in_B(dual(r.weight), 1, 3)
+            degree, weight = bott(dual((t, t)) + (0,))
+            assert degree == 2
+            assert dual(weight) == (t - 1, t - 1, 2)
+            assert in_B(dual(weight), 1, 3)
 
     def test_m1_p1_dense_orbit_degree_zero(self):
         report = verify_pushforward(1, 1, 6)
@@ -119,8 +98,7 @@ class TestVerifyPushforward:
         assert report["pass"] is True
 
     def test_p_equals_m_all_zero_weight(self):
-        r = bott((0, 0, 0, 0, 0))
-        assert r.degree == 0
+        assert bott((0, 0, 0, 0, 0)) == (0, (0, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_full_range(self, m):
@@ -142,7 +120,7 @@ class TestVerifyPushforward:
     def test_failure_names_the_weight(self, monkeypatch):
         import pflyub.weights_bott as wb
 
-        real_bott = wb._bott
+        real_bott = wb.bott
 
         def corrupted(gamma):
             degree, weight = real_bott(gamma)
@@ -150,14 +128,14 @@ class TestVerifyPushforward:
                 return degree, weight
             return degree + 1, weight
 
-        monkeypatch.setattr(wb, "_bott", corrupted)
+        monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(VerificationError, match="degree"):
             wb.verify_pushforward(1, 0, 6)
 
     def test_image_outside_B_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
 
-        real_bott = wb._bott
+        real_bott = wb.bott
 
         def corrupted(gamma):
             # raise the last entry's negation, i.e. the image's first entry, by one
@@ -166,17 +144,17 @@ class TestVerifyPushforward:
                 return degree, weight
             return degree, weight[:-1] + (weight[-1] - 1,)
 
-        monkeypatch.setattr(wb, "_bott", corrupted)
+        monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(
             VerificationError,
-            match=r"image DominantWeight\(\(3, 2, 2\)\) of DominantWeight\(\(3, 3\)\) is not in B\(1, 3\)",
+            match=r"image \(3, 2, 2\) of \(3, 3\) is not in B\(1, 3\)",
         ):
             wb.verify_pushforward(1, 0, 6)
 
     def test_shared_image_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
 
-        real_bott = wb._bott
+        real_bott = wb.bott
         first = []
 
         def corrupted(gamma):
@@ -187,18 +165,17 @@ class TestVerifyPushforward:
             first.append(weight)
             return degree, first[0]
 
-        monkeypatch.setattr(wb, "_bott", corrupted)
+        monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(
             VerificationError,
-            match=r"DominantWeight\(\(4, 4\)\) and DominantWeight\(\(3, 3\)\) "
-            r"share the image DominantWeight\(\(2, 2, 2\)\)",
+            match=r"\(4, 4\) and \(3, 3\) share the image \(2, 2, 2\)",
         ):
             wb.verify_pushforward(1, 0, 6)
 
     def test_missing_preimage_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
 
-        real_bott = wb._bott
+        real_bott = wb.bott
         seen = []
 
         def corrupted(gamma):
@@ -209,26 +186,22 @@ class TestVerifyPushforward:
                 return None, None
             return degree, weight
 
-        monkeypatch.setattr(wb, "_bott", corrupted)
+        monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(
             VerificationError,
-            match=r"window weight DominantWeight\(\(2, 2, 2\)\) has no preimage",
+            match=r"window weight \(2, 2, 2\) has no preimage",
         ):
             wb.verify_pushforward(1, 0, 6)
 
 
-def test_tuple_bott_matches_public_bott_and_brute_force():
-    from itertools import product
-
-    from pflyub.weights_bott import _bott
-
+def test_bott_matches_brute_force():
+    # gamma + rho with rho = (4, 3, 2, 1, 0): vanishing on a repeat, else the
+    # inversion count and the sorted sequence minus rho
     for gamma in product(range(-3, 4), repeat=5):
         v = [g + 4 - i for i, g in enumerate(gamma)]
-        public = bott(gamma)
         if len(set(v)) < 5:
-            assert _bott(gamma) == (None, None) and public.is_zero
+            assert bott(gamma) == (None, None)
             continue
         inversions = sum(1 for i in range(5) for j in range(i + 1, 5) if v[i] < v[j])
         weight = tuple(x - 4 + i for i, x in enumerate(sorted(v, reverse=True)))
-        assert _bott(gamma) == (inversions, weight)
-        assert (public.degree, public.weight) == (inversions, DominantWeight(weight))
+        assert bott(gamma) == (inversions, weight)
