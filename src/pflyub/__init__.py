@@ -23,9 +23,8 @@ _HOME = {
     for module, names in {
         "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
         "ext_mult": ("ext_series_closed", "ext_series_enum", "zset_rectangle", "zset_thickened"),
-        "characters": ("ModuleN", "PfPole", "SimpleD", "verify_limitpfaff"),
+        "characters": ("in_D", "in_N", "in_pole", "verify_limitpfaff"),
         "kgroup": (
-            "KClass",
             "localcoh_class_even_D",
             "localcoh_class_even_Q",
             "localcoh_class_odd_D_reversed",

@@ -1,9 +1,10 @@
 """Grothendieck-group classes of local cohomology with Pfaffian support.
 
-A class is a vector of q-polynomials indexed by a basis of module symbols:
-the indecomposables Q_0..Q_m coming from the pole order filtration (even
-ambient size only) or the simples D_0..D_m.  Since [Q_p] = [D_0] + ... + [D_p],
-``q_to_d`` rewrites a Q-basis class in the D-basis by running sums.
+A class is a tuple of m+1 q-polynomials, the coefficients of the basis
+modules: the indecomposables Q_0..Q_m coming from the pole order filtration
+(even ambient size only) or the simples D_0..D_m.  The function that builds a
+class names its basis.  Since [Q_p] = [D_0] + ... + [D_p], ``q_to_d``
+rewrites a Q-basis class in the D-basis by running sums.
 
 ``localcoh_class_even_Q(m, k)`` is the class of the total local cohomology of
 the polynomial ring with support in the rank <= 2k locus of 2m x 2m
@@ -20,64 +21,13 @@ from __future__ import annotations
 from .partitions import gaussian_binomial
 from .polyring import ZERO, QPoly
 
-QBASIS = "Q"
-DBASIS = "D"
 
-
-class KClass:
-    """Coefficients (q-polynomials) of a class in the {Q_p} or {D_s} basis.
-
-    Immutable and hashable; equal when basis, ambient size and coefficients
-    are equal."""
-
-    __slots__ = ("basis", "n", "coeffs")
-
-    def __init__(self, basis: str, n: int, coeffs: tuple[QPoly, ...]):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.basis not in (QBASIS, DBASIS):
-            raise ValueError(f"basis must be {QBASIS!r} or {DBASIS!r}, got {self.basis!r}")
-        if self.basis == QBASIS and self.n % 2:
-            raise ValueError("the Q-basis only exists for even ambient size")
-        m = self.n // 2
-        if len(self.coeffs) != m + 1:
-            raise ValueError(f"expected {m + 1} coefficients for n={self.n}, got {len(self.coeffs)}")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return self.basis, self.n, self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"KClass(basis={self.basis!r}, n={self.n!r}, coeffs={self.coeffs!r})"
-
-    @property
-    def m(self) -> int:
-        return self.n // 2
-
-
-def q_to_d(c: KClass) -> KClass:
+def q_to_d(c: tuple[QPoly, ...]) -> tuple[QPoly, ...]:
     """Rewrite a Q-basis class in the D-basis via [Q_p] = sum_{s<=p} [D_s]."""
-    if c.basis != QBASIS:
-        raise ValueError("q_to_d expects a Q-basis class")
-    coeffs = [sum(c.coeffs[s:], ZERO) for s in range(c.m + 1)]
-    return KClass(DBASIS, c.n, tuple(coeffs))
+    return tuple(sum(c[s:], ZERO) for s in range(len(c)))
 
 
-def localcoh_class_even_Q(m: int, k: int) -> KClass:
+def localcoh_class_even_Q(m: int, k: int) -> tuple[QPoly, ...]:
     """Class of the local cohomology of S with support in the rank <= 2k locus,
     n = 2m even, in the Q-basis, graded by q^(cohomological degree)."""
     if not 0 <= k <= m - 1:
@@ -90,10 +40,10 @@ def localcoh_class_even_Q(m: int, k: int) -> KClass:
         for p in range(k + 1):
             shift = 2 * (m - k) ** 2 - (m - k) + 4 * (k - p)
             coeffs[p] = QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
-    return KClass(QBASIS, 2 * m, tuple(coeffs))
+    return tuple(coeffs)
 
 
-def localcoh_class_even_D(m: int, k: int) -> KClass:
+def localcoh_class_even_D(m: int, k: int) -> tuple[QPoly, ...]:
     """The same class in the D-basis, after collapsing the running sums with
     the Pascal identity: coefficient of D_s is
     q^(2(m-k)^2 - (m-k)) * binom(m-s-1, k-s)_{q^4} for s <= k."""
@@ -103,12 +53,12 @@ def localcoh_class_even_D(m: int, k: int) -> KClass:
     coeffs = [ZERO] * (m + 1)
     for s in range(k + 1):
         coeffs[s] = QPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
-    return KClass(DBASIS, 2 * m, tuple(coeffs))
+    return tuple(coeffs)
 
 
-def localcoh_class_odd_D_reversed(m: int, k: int) -> KClass:
+def localcoh_class_odd_D_reversed(m: int, k: int) -> tuple[QPoly, ...]:
     """For n = 2m+1 odd: the class sum_j [H^(d-j)] q^j with d = n(n-1)/2,
-    support in the rank <= 2k locus; coefficient of D_p is
+    support in the rank <= 2k locus, in the D-basis; coefficient of D_p is
     q^(k(2k+3) - 2p(2k-2m+1)) * binom(m-p-1, k-p)_{q^4}."""
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
@@ -116,9 +66,9 @@ def localcoh_class_odd_D_reversed(m: int, k: int) -> KClass:
     for p in range(k + 1):
         shift = k * (2 * k + 3) - 2 * p * (2 * k - 2 * m + 1)
         coeffs[p] = QPoly.q(shift) * gaussian_binomial(m - p - 1, k - p, power=4)
-    return KClass(DBASIS, 2 * m + 1, tuple(coeffs))
+    return tuple(coeffs)
 
 
-def reverse_class(c: KClass, d: int) -> KClass:
+def reverse_class(c: tuple[QPoly, ...], d: int) -> tuple[QPoly, ...]:
     """Swap the grading q^j <-> q^(d-j) by reversing every basis coefficient."""
-    return KClass(c.basis, c.n, tuple(p.reverse(d) for p in c.coeffs))
+    return tuple(p.reverse(d) for p in c)

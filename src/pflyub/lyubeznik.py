@@ -17,7 +17,8 @@ standing for w:
 if the lists differ), and refuses to emit unless the expansions agree
 exactly; the table's ``entries`` are the checked L_k.  It then checks the
 structural invariants: entries positive, 0 <= i <= j <= dim, the corner entry
-lambda_{dim,dim} = 1 where dim = k(2n-2k-1), and the Euler characteristic
+lambda_{dim,dim} = 1 where dim = C(n,2) - C(n-2k,2) = k(2n-2k-1) is the
+dimension of the rank <= 2k locus, and the Euler characteristic
 sum (-1)^(i-j) lambda_{i,j} = 1.
 """
 
@@ -196,7 +197,7 @@ def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     else:
         cls = localcoh_class_odd_D_reversed(m, k)
         h = lambda p: h0_D_odd(m, p)
-    return [(h(p), coeff) for p, coeff in enumerate(cls.coeffs) if coeff]
+    return [(h(p), coeff) for p, coeff in enumerate(cls) if coeff]
 
 
 def _strided(poly: QPoly) -> tuple[int, int, list[int], list[int]]:
@@ -275,7 +276,7 @@ def build_table(n: int, k: int) -> LyubeznikTable:
             mine, theirs = _entries(rows), _entries(other)
             key = min(e for e in mine.keys() | theirs.keys() if mine.get(e, 0) != theirs.get(e, 0))
             raise PathMismatchError(n, k, key, mine.get(key, 0), theirs.get(key, 0))
-    dim = k * (2 * n - 2 * k - 1)
+    dim = comb(n, 2) - comb(n - 2 * k, 2)
     table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
     table.validate()
     return table

@@ -11,7 +11,7 @@ from math import comb
 
 from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
-from .kgroup import KClass, localcoh_class_even_D, localcoh_class_even_Q, q_to_d, reverse_class
+from .kgroup import localcoh_class_even_D, localcoh_class_even_Q, q_to_d, reverse_class
 from .lyubeznik import build_table, valid_k_range
 from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
@@ -82,15 +82,12 @@ def _kgroup_checks(m_max: int, m_max_swap: int):
         d = comb(2 * m, 2)
         for k in range(m - 1):
             reversed_cls = reverse_class(localcoh_class_even_Q(m, k), d)
-            expected = []
-            for p in range(m + 1):
-                if p <= k:
-                    shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                    expected.append(QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4))
-                else:
-                    expected.append(ZERO)
+            expected = [ZERO] * (m + 1)
+            for p in range(k + 1):
+                shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
+                expected[p] = QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
             _require(
-                reversed_cls == KClass("Q", 2 * m, tuple(expected)),
+                reversed_cls == tuple(expected),
                 f"grading reversal closed form fails at (m={m}, k={k})",
             )
             yield

@@ -22,7 +22,6 @@ from pflyub import (
     verify_limitpfaff,
     verify_pushforward,
 )
-from pflyub.kgroup import KClass
 from pflyub.lyubeznik import _closed_factors, _composed_factors, _expand, valid_k_range
 from pflyub.polyring import ZERO, QPoly
 
@@ -82,7 +81,7 @@ def test_criterion_04_kgroup_identities():
                 for p in range(k + 1):
                     shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
                     expected[p] = QPoly.q(shift) * _in_q4(gaussian_binomial(m - p - 2, k - p))
-                assert got == KClass("Q", 2 * m, tuple(expected)), (m, k)
+                assert got == tuple(expected), (m, k)
 
     _run(4, "basis decomposition and grading reversal m <= 10", 5.0, check)
 

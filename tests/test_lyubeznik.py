@@ -44,6 +44,40 @@ class TestComposedPath:
             assert ly._expand(ly._closed_factors(n, k)) == ly._expand(ly._composed_factors(n, k))
 
 
+# q-polynomials for _expand: a_s with small exponents, so that rows collide, and
+# b_s zero, a monomial (step 0) or strided with its own offset, stride and
+# coefficients, some negative and some zero (so the stride of the nonzero terms varies)
+_A = st.dictionaries(st.integers(-2, 4), st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(QPoly)
+_B = st.one_of(
+    st.just(QPoly()),
+    st.builds(lambda e, c: QPoly({e: c}), st.integers(-3, 9), st.integers(-3, 3).filter(bool)),
+    st.builds(
+        lambda lo, step, cs: QPoly({lo + step * t: c for t, c in enumerate(cs)}),
+        st.integers(-3, 9),
+        st.integers(1, 4),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=6),
+    ),
+)
+
+
+class TestExpand:
+    @given(st.lists(st.tuples(_A, _B), max_size=6), st.booleans())
+    def test_matches_naive_accumulation(self, factors, cancel):
+        if cancel and factors:
+            a, b = factors[0]
+            factors = factors + [(a, -b)]  # cancels the first pair's rows, down to empty ones
+        naive = {}
+        for a, b in factors:
+            for i, x in a.terms().items():
+                for j, y in b.terms().items():
+                    naive[i, j] = naive.get((i, j), 0) + x * y
+        rows = ly._expand(factors)
+        assert ly._entries(rows) == {key: lam for key, lam in naive.items() if lam}
+        assert list(rows) == sorted(rows)
+        for js, lams in rows.values():
+            assert js and all(lams) and list(js) == sorted(set(js))
+
+
 class TestBuildTable:
     def test_n6_k1(self):
         table = build_table(6, 1)

@@ -1,6 +1,7 @@
 """The lazy package namespace, which modules each CLI command loads, and that
 the commands and the benchmark reach every public function and class."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,6 +48,14 @@ def test_table_commands_skip_the_verification_modules(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(("[", "{"))
     assert proc.stderr.strip() == "loaded: []"
+
+
+def test_verify_runs_without_dataclasses():
+    proc = run_python("-c", GUARD, "verify", "--n-max", "2")
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stderr.strip().removeprefix("loaded: "))
+    assert "pflyub.characters" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_bare_import_loads_no_submodule():
@@ -136,16 +145,10 @@ for info in pkgutil.iter_modules(pflyub.__path__):
 print(json.dumps(sorted(unreached)))
 """
 
-# Public code that no command, check or benchmark enters, kept on purpose.
-UNREACHED_BY_DESIGN = {
-    "characters.SimpleD": "the independent reference for the pole order filtration's successive quotients",
-}
-
-
 def test_every_public_function_and_class_is_reached_by_a_command_or_the_benchmark():
     proc = run_python("-c", REACH)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == sorted(UNREACHED_BY_DESIGN)
+    assert json.loads(proc.stdout) == []
 
 
 def test_unknown_name_raises_attribute_error():
