@@ -24,9 +24,9 @@ sum (-1)^(i-j) lambda_{i,j} = 1.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from math import comb, gcd
-from operator import add, and_
+from operator import add
 
 from .errors import PathMismatchError, TableInvariantError
 from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D_reversed, reverse_class
@@ -45,16 +45,29 @@ _MAX_WORK = 1_000_000
 _MAX_CELLS = 2_000_000
 
 
+class _PerShape(dict):
+    """A dict that builds and keeps ``build(key)`` for a missing key."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class LyubeznikTable:
     """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
     rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
-    nonzero lambda_{i,j} at those j.
+    nonzero lambda_{i,j} at those j.  A built table's rows with the same columns
+    (one "shape") share one ``js`` tuple, which no caller may mutate; a hand-built
+    table may pass lists.  Per-column work runs once per shape, on ``tuple(js)``.
 
     Mutable, so unhashable; equal when all four fields are equal."""
 
     __slots__ = ("n", "k", "dim", "rows")
 
-    def __init__(self, n: int, k: int, dim: int, rows: dict[int, tuple[list[int], list[int]]] | None = None):
+    def __init__(self, n: int, k: int, dim: int, rows: dict[int, tuple[tuple[int, ...], list[int]]] | None = None):
         self.n = n
         self.k = k
         self.dim = dim
@@ -77,6 +90,7 @@ class LyubeznikTable:
         n, k, dim = self.n, self.k, self.dim
         # H^i_m H^(N-j)_I(S) => H^(i+N-j)_m(S), which is E in degree N alone, so the sum is 1
         euler = 0
+        odd_masks = _PerShape(lambda js: [j & 1 for j in js])
         for i, (js, lams) in self.rows.items():
             if min(lams) <= 0:
                 j, lam = next((j, lam) for j, lam in zip(js, lams) if lam <= 0)
@@ -85,7 +99,7 @@ class LyubeznikTable:
                 j = js[0] if i < 0 or js[0] < i else next(j for j in js if j > dim)
                 raise TableInvariantError(n, k, f"index outside 0 <= i <= j <= {dim}", (i, j))
             total = sum(lams)
-            odd_j = sum(compress(lams, map(and_, js, repeat(1))))
+            odd_j = sum(compress(lams, odd_masks[tuple(js)]))
             odd = total - odd_j if i % 2 else odd_j  # the lambda_{i,j} with i + j odd
             euler += total - 2 * odd
         js, lams = self.rows.get(dim, ((), ()))
@@ -95,18 +109,16 @@ class LyubeznikTable:
         if euler != 1:
             raise TableInvariantError(n, k, f"Euler characteristic is {euler}, expected 1")
 
+    def _lines(self, template) -> list[str]:
+        """Every row in ascending i as ``str(i).join(template(js)) % tuple(lams)``:
+        ``template(js)`` spells one shape's row, j (and fixed cells) baked in,
+        with %d per lambda and NUL for i, and is built and split once per shape."""
+        templates = _PerShape(lambda js: template(js).split("\0"))
+        return [str(i).join(templates[tuple(js)]) % tuple(lams) for i, (js, lams) in sorted(self.rows.items())]
+
     def _cells(self, cell: str, sep: str) -> str:
-        """``cell % (i, j, lambda)`` for every entry in (i, j) order, joined by
-        ``sep``; ``cell`` spells i as %d and j, lambda as %%d, so each row is one
-        format over its interleaved (j, lambda) pairs."""
-        parts = []
-        for i in sorted(self.rows):
-            js, lams = self.rows[i]
-            pairs = [0] * (2 * len(js))
-            pairs[::2] = js
-            pairs[1::2] = lams
-            parts.append(sep.join([cell % i] * len(js)) % tuple(pairs))
-        return sep.join(parts)
+        """``cell % j % lambda``, i at its NUL, per entry in (i, j) order, joined by ``sep``."""
+        return sep.join(self._lines(lambda js: sep.join([cell % j for j in js])))
 
     def to_obj(self) -> dict:
         return {
@@ -120,16 +132,16 @@ class LyubeznikTable:
 
     def to_json(self) -> str:
         """The same bytes as ``json.dumps(self.to_obj())``, formatted directly."""
-        cells = self._cells('{"i": %d, "j": %%d, "lambda": %%d}', ", ")
+        cells = self._cells('{"i": \0, "j": %d, "lambda": %%d}', ", ")
         return f'{{"n": {self.n}, "k": {self.k}, "dim": {self.dim}, "entries": [{cells}]}}'
 
     def to_genfun_json(self) -> str:
         """L_k(q, w) as JSON terms {"eq": i, "ew": j, "c": lambda_{i,j}} sorted
         by (i, j), in the term format of ``QPoly.to_json``, formatted directly."""
-        return "[" + self._cells('{"eq": %d, "ew": %%d, "c": %%d}', ", ") + "]"
+        return "[" + self._cells('{"eq": \0, "ew": %d, "c": %%d}', ", ") + "]"
 
     def to_csv(self) -> str:
-        return "i,j,lambda\n" + self._cells("%d,%%d,%%d\n", "")
+        return "i,j,lambda\n" + self._cells("\0,%d,%%d\n", "")
 
     def to_latex(self) -> str:
         """A tabular with one row per occupied i, one column per occupied j
@@ -144,14 +156,14 @@ class LyubeznikTable:
             " & ".join([r"$i \backslash j$"] + [f"${j}$" for j in cols]) + r" \\ \hline"
         )
         column = {j: t for t, j in enumerate(cols, 1)}
-        blank = ["$0$"] * len(cols)
-        for i in sorted(self.rows):
-            js, lams = self.rows[i]
-            row = [f"${i}$", *blank]
-            for j, lam in zip(js, lams):
-                row[column[j]] = f"${lam}$"
-            lines.append(" & ".join(row) + r" \\")
-        lines.append(r"\end{tabular}")
+
+        def template(js: tuple[int, ...]) -> str:
+            row = ["$\0$"] + ["$0$"] * len(cols)
+            for j in js:
+                row[column[j]] = "$%d$"
+            return " & ".join(row) + r" \\"
+
+        lines += [*self._lines(template), r"\end{tabular}"]
         return "\n".join(lines) + "\n"
 
 
@@ -200,27 +212,32 @@ def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     return [(h(p), coeff) for p, coeff in enumerate(cls) if coeff]
 
 
-def _strided(poly: QPoly) -> tuple[int, int, list[int], list[int]]:
+def _strided(poly: QPoly) -> tuple[int, int, list[int], tuple[int, ...]]:
     """A nonzero polynomial as (lo, step, coeffs, exps): the coefficient of
     q^(lo + step*t) is coeffs[t], step is the gcd of the exponent gaps (0 for a
     monomial, which has none), and exps are the exponents of the nonzero
     coefficients, ascending."""
     terms = poly.terms()
-    exps = sorted(terms)
+    exps = tuple(sorted(terms))
     step = gcd(*[b - a for a, b in zip(exps, exps[1:])])
     return exps[0], step, [terms.get(e, 0) for e in range(exps[0], exps[-1] + 1, step or 1)], exps
 
 
-def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[list[int], list[int]]]:
+def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ...], list[int]]]:
     """sum_s a_s(q) * b_s(w) as rows {i: (js, lams)} in ascending i: js the
     ascending j and lams the nonzero coefficients of q^i w^j.  A row that one
-    b_s meets is that b_s times a_s[i]; otherwise the row is one dense
-    accumulator, strided by the gcd of the steps and offsets of the b_s that
-    meet it, which the first b_s fills and the others add into."""
-    meets: dict[int, list[tuple[int, tuple[int, int, list[int], list[int]]]]] = {}
+    b_s meets is that b_s times a_s[i], with b_s's exponent tuple as its js;
+    otherwise the row is one dense accumulator, strided by the gcd of the
+    steps and offsets of the b_s that meet it, which the first b_s fills and
+    the others add into.  Every js comes from one dict of the distinct tuples,
+    looked up by its range (lo, step, size) for a row without holes, so rows
+    with the same columns share one js, which no caller may mutate."""
+    shapes = _PerShape(lambda js: js if isinstance(js, tuple) else shapes[tuple(js)])
+    meets: dict[int, list[tuple[int, tuple[int, int, list[int], tuple[int, ...]]]]] = {}
     for a, b in factors:
         if b:
-            column = _strided(b)
+            lo, step, c, exps = _strided(b)
+            column = lo, step, c, shapes[exps]
             for i, x in a.terms().items():
                 meets.setdefault(i, []).append((x, column))
     rows = {}
@@ -228,7 +245,7 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[list[int], li
         terms = meets[i]
         if len(terms) == 1:
             x, (_, _, c, exps) = terms[0]
-            rows[i] = (exps[:], [x * y for y in c if y])
+            rows[i] = (exps, [x * y for y in c if y])
             continue
         lo = min(lo_s for _, (lo_s, _, _, _) in terms)
         step = gcd(*[s for _, (_, s, _, _) in terms], *[lo_s - lo for _, (lo_s, _, _, _) in terms]) or 1
@@ -241,12 +258,12 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[list[int], li
             acc[part] = map(add, acc[part], products) if t else products
         lams = list(filter(None, acc))
         if lams:
-            js = range(lo, lo + step * len(acc), step)
-            rows[i] = (list(js) if len(lams) == len(acc) else list(compress(js, acc)), lams)
+            js = range(lo, hi + 1, step)
+            rows[i] = (shapes[js if len(lams) == len(acc) else tuple(compress(js, acc))], lams)
     return rows
 
 
-def _entries(rows: dict[int, tuple[list[int], list[int]]]) -> dict[tuple[int, int], int]:
+def _entries(rows: dict[int, tuple[tuple[int, ...], list[int]]]) -> dict[tuple[int, int], int]:
     """The rows as {(i, j): lambda}."""
     return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
 

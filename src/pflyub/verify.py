@@ -1,13 +1,14 @@
 """Verification suites: every cross-check of the package, run as one report.
 
 Each suite is a generator that yields once after each check passes;
-``verify_all`` runs them all and reports, per suite, whether it passed, how
-many checks ran and the first failure.  No table command imports this module.
+``verify_all`` runs them all and reports, per suite, whether it passed, its
+checks and seconds, and the first failure.  No table command imports this module.
 """
 
 from __future__ import annotations
 
 from math import comb
+from time import perf_counter
 
 from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
@@ -27,13 +28,15 @@ def _suite(name: str, checks) -> dict:
     """Run one suite, a generator that yields once after each check passes;
     stop at the suite's first failure but never propagate."""
     checked = 0
+    error = None
+    start = perf_counter()
     try:
         for _ in checks:
             checked += 1
     except Exception as exc:  # any failure, expected or not, is this suite's alone
         error = f"{type(exc).__name__}: {exc}"
-        return {"name": name, "pass": False, "checked": checked, "error": error}
-    return {"name": name, "pass": True, "checked": checked, "error": None}
+    seconds = round(perf_counter() - start, 6)  # wall time, to the microsecond
+    return {"name": name, "pass": error is None, "checked": checked, "seconds": seconds, "error": error}
 
 
 def _require(condition: bool, message: str) -> None:

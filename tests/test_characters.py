@@ -90,6 +90,12 @@ class TestVerifyLimitPfaff:
         for k in range(m):
             assert verify_limitpfaff(m, k, 6)["pass"] is True
 
+    def test_window_is_built_once_per_m_and_bound(self):
+        window = paired_window(3, 6)
+        assert isinstance(window, tuple) and len(window) == 455
+        assert paired_window(3, 6) is window
+        assert [verify_limitpfaff(3, k, 6)["checked"] for k in range(3)] == [455] * 3
+
     def test_report_schema(self):
         report = verify_limitpfaff(2, 1, 4)
         assert {"m", "k", "bound", "checked", "pass"} <= set(report)

@@ -60,6 +60,21 @@ _B = st.one_of(
 )
 
 
+@st.composite
+def _hand_built_rows(draw):
+    """Rows {i: (js, lams)} in no particular i order, each js one of a few
+    shapes with holes, given as the shared list, a fresh list or a tuple."""
+    shape = st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True).map(sorted)
+    shapes = draw(st.lists(shape, min_size=1, max_size=3))
+    rows = {}
+    for i in draw(st.lists(st.integers(-3, 30), min_size=1, max_size=8, unique=True)):
+        js = draw(st.sampled_from(shapes))
+        form = draw(st.sampled_from([lambda js: js, list, tuple]))
+        lams = draw(st.lists(st.integers(-5, 10**12).filter(bool), min_size=len(js), max_size=len(js)))
+        rows[i] = (form(js), lams)
+    return rows
+
+
 class TestExpand:
     @given(st.lists(st.tuples(_A, _B), max_size=6), st.booleans())
     def test_matches_naive_accumulation(self, factors, cancel):
@@ -74,8 +89,10 @@ class TestExpand:
         rows = ly._expand(factors)
         assert ly._entries(rows) == {key: lam for key, lam in naive.items() if lam}
         assert list(rows) == sorted(rows)
+        shapes = {}
         for js, lams in rows.values():
             assert js and all(lams) and list(js) == sorted(set(js))
+            assert shapes.setdefault(js, js) is js  # rows with equal columns share one tuple
 
 
 class TestBuildTable:
@@ -276,6 +293,49 @@ class TestEmitters:
             terms = [{"eq": i, "ew": j, "c": lam} for (i, j), lam in sorted(table.entries.items())]
             assert table.to_genfun_json() == json.dumps(terms)
 
+    @given(_hand_built_rows())
+    def test_shape_templates_match_entrywise_reference(self, rows):
+        table = LyubeznikTable(9, 2, 30, rows)
+        emitted = (table.to_json(), table.to_genfun_json(), table.to_csv(), table.to_latex())
+        assert emitted == self.reference_outputs(table)
+
+    @pytest.mark.parametrize("n, k", [(20, 5), (26, 10)])  # (26, 10) has rows with holes that share columns
+    def test_rows_with_equal_columns_share_one_js(self, n, k):
+        rows = build_table(n, k).rows
+        shapes = {}
+        for js, _ in rows.values():
+            assert isinstance(js, tuple)
+            assert shapes.setdefault(js, js) is js
+        assert len(shapes) < len(rows)
+
+    def test_list_js_validates_and_emits_like_tuples(self):
+        def listed(table):
+            rows = {i: (list(js), lams) for i, (js, lams) in table.rows.items()}
+            return LyubeznikTable(table.n, table.k, table.dim, rows)
+
+        for n, k in ((6, 1), (13, 4), (20, 5)):
+            table = build_table(n, k)
+            as_lists = listed(table)
+            as_lists.validate()
+            for emit in ("to_json", "to_genfun_json", "to_csv", "to_latex"):
+                assert getattr(as_lists, emit)() == getattr(table, emit)()
+        broken = [
+            LyubeznikTable(6, 1, 9, {9: ((9,), [1]), 7: ((3,), [1])}),
+            LyubeznikTable(6, 1, 9, {0: ((5, 10), [1, 1])}),
+            LyubeznikTable(6, 1, 9, {-1: ((2,), [1])}),
+            LyubeznikTable(6, 1, 9, {0: ((5,), [1])}),
+            LyubeznikTable(4, 0, 0, {0: ((0,), [-1])}),
+            LyubeznikTable(6, 1, 9, {0: ((5,), [1]), 5: ((9,), [2]), 9: ((9,), [1])}),
+            LyubeznikTable(6, 1, 9, {0: ((5, 7), [1, 3]), 9: ((9,), [1])}),
+        ]
+        for table in broken:
+            errors = []
+            for form in (table, listed(table)):
+                with pytest.raises(TableInvariantError) as caught:
+                    form.validate()
+                errors.append(str(caught.value))
+            assert errors[0] == errors[1]
+
 
 class TestVerifyAll:
     def test_degenerate_range(self):
@@ -427,6 +487,15 @@ class TestCli:
         assert main(["verify", "--n-max", "4"]) == 0
         out = capsys.readouterr().out
         assert "two_path_tables: PASS" in out
+
+    def test_verify_summary_lines_and_suite_seconds(self, capsys):
+        assert main(["verify", "--n-max", "4"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        report = json.loads(last)
+        assert lines == [f"{s['name']}: PASS ({s['checked']} checks)" for s in report["suites"]]
+        for suite in report["suites"]:
+            assert list(suite) == ["name", "pass", "checked", "seconds", "error"]
+            assert isinstance(suite["seconds"], float) and suite["seconds"] >= 0
 
     def test_argument_errors_exit_2(self, capsys):
         assert main(["lyubeznik", "--n", "6", "--k", "9"]) == 2
