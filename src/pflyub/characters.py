@@ -92,7 +92,7 @@ def paired_window(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_doubled, _weakly_decreasing(m, -bound, bound)))
 
 
-def verify_limitpfaff(m: int, k: int, bound: int) -> dict:
+def verify_limitpfaff(m: int, k: int, bound: int) -> None:
     """Bounded check that <Pf^(-2k)> is the rising union of the N_{k,e}.
 
     For every paired weight mu in the window, membership in <Pf^(-2k)> must be
@@ -103,17 +103,14 @@ def verify_limitpfaff(m: int, k: int, bound: int) -> dict:
     mu lies in <Pf^(-2k)> but not in <Pf^(-2k+2)> exactly when it lies in the
     simple D_{m-k} (for k = 0, exactly when it lies in <Pf^0> = S).
 
-    Returns a JSON-ready report; raises VerificationError with the offending
-    weight on failure.
+    Raises VerificationError with the offending weight on failure.
     """
     n = 2 * m
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
     e_max = 2 * bound + 4 * m
     es = range(1, e_max + 1)
-    members = 0
-    window = paired_window(m, bound)
-    for mu in window:
+    for mu in paired_window(m, bound):
         flags = [in_N(mu, k, e, n) for e in es]
         pole = in_pole(mu, k, n)
         if pole != any(flags):
@@ -122,7 +119,6 @@ def verify_limitpfaff(m: int, k: int, bound: int) -> dict:
                 f"{'in' if pole else 'not in'} the pole-order character but "
                 f"{'not ' if pole else ''}reached by N_(k,e), e <= {e_max}"
             )
-        members += pole
         quotient = pole and not (k and in_pole(mu, k - 1, n))
         if quotient != in_D(mu, m - k, n):
             raise VerificationError(
@@ -138,12 +134,3 @@ def verify_limitpfaff(m: int, k: int, bound: int) -> dict:
                     raise VerificationError(
                         f"limit(m={m}, k={k}): {mu} in N_(k,{e}) but not in N_(k+1,{e})"
                     )
-    return {
-        "m": m,
-        "k": k,
-        "bound": bound,
-        "e_max": e_max,
-        "checked": len(window),
-        "members": members,
-        "pass": True,
-    }

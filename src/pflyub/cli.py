@@ -14,12 +14,14 @@ An option takes its value as the next word (--gamma -3,-3,0) or after "="
 match exactly.  -h or --help prints this text.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
-error.  An argument error or an internal error (an unexpected exception) is
-one line on stderr.
+error, 141 stdout closed before the output was written (as by ``| head``).
+An argument error or an internal error (an unexpected exception) is one line
+on stderr; a closed stdout prints nothing.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .errors import VerificationError
@@ -88,6 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left; 128 + SIGPIPE, as a shell reports it
+        # point fd 1 at /dev/null, so that the exit flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # a bug: neither a bad argument nor a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ standing for w:
 
 ``build_table`` compares the two lists, expands only the closed one (both,
 if the lists differ), and refuses to emit unless the expansions agree
-exactly; the table's ``entries`` are the checked L_k.  It then checks the
+exactly; the table's rows are the checked L_k.  It then checks the
 structural invariants: entries positive, 0 <= i <= j <= dim, the corner entry
 lambda_{dim,dim} = 1 where dim = C(n,2) - C(n-2k,2) = k(2n-2k-1) is the
 dimension of the rank <= 2k locus, and the Euler characteristic
@@ -61,9 +61,7 @@ class LyubeznikTable:
     rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
     nonzero lambda_{i,j} at those j.  A built table's rows with the same columns
     (one "shape") share one ``js`` tuple, which no caller may mutate; a hand-built
-    table may pass lists.  Per-column work runs once per shape, on ``tuple(js)``.
-
-    Mutable, so unhashable; equal when all four fields are equal."""
+    table may pass lists.  Per-column work runs once per shape, on ``tuple(js)``."""
 
     __slots__ = ("n", "k", "dim", "rows")
 
@@ -72,16 +70,6 @@ class LyubeznikTable:
         self.k = k
         self.dim = dim
         self.rows = {} if rows is None else rows
-
-    @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """{(i, j): lambda_{i,j}}, built from the rows on each read."""
-        return _entries(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.dim, self.rows) == (other.n, other.k, other.dim, other.rows)
 
     def __repr__(self) -> str:
         return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, dim={self.dim!r}, rows={self.rows!r})"

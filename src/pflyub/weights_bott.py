@@ -99,7 +99,7 @@ def enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
     return {_doubled(u) + tail for u in _weakly_decreasing(s, 2 * s, bound) for tail in tails}
 
 
-def verify_pushforward(m: int, p: int, bound: int) -> dict:
+def verify_pushforward(m: int, p: int, bound: int) -> None:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
     For every lambda in the bounded window of B(m-p, 2m), Bott's algorithm is
@@ -109,21 +109,17 @@ def verify_pushforward(m: int, p: int, bound: int) -> dict:
     window at bound-2 (images of window-bounded sources shift entries by at
     most 1, so the shrunken window is guaranteed to be reached).
 
-    Returns a JSON-ready report; raises VerificationError naming the offending
-    weight on any failure.
+    Raises VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
     if bound < 2 * m:
         raise ValueError(f"bound must be at least 2m = {2 * m}")
     expected_degree = 2 * m - 2 * p
-    zero_count = 0
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    domain = enumerate_B(m - p, 2 * m, bound)
-    for lam in sorted(domain):
+    for lam in sorted(enumerate_B(m - p, 2 * m, bound)):
         degree, weight = bott(dual(lam) + (0,))
         if degree is None:
-            zero_count += 1
             continue
         if degree != expected_degree:
             raise VerificationError(
@@ -141,12 +137,3 @@ def verify_pushforward(m: int, p: int, bound: int) -> dict:
         missing = enumerate_B(m - p, 2 * m + 1, bound - 2) - images.keys()
         if missing:
             raise VerificationError(f"pushforward(m={m}, p={p}): window weight {min(missing)} has no preimage")
-    return {
-        "m": m,
-        "p": p,
-        "bound": bound,
-        "checked": len(domain),
-        "zero": zero_count,
-        "nonzero": len(images),
-        "pass": True,
-    }

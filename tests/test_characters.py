@@ -78,27 +78,30 @@ class TestSimpleD:
 
 class TestVerifyLimitPfaff:
     def test_k0_is_trivial_case(self):
-        assert verify_limitpfaff(2, 0, 4)["pass"] is True
+        assert verify_limitpfaff(2, 0, 4) is None
 
-    def test_m2_k1(self):
-        report = verify_limitpfaff(2, 1, 6)
-        assert report["pass"] is True
-        assert report["e_max"] == 2 * 6 + 8
+    def test_m2_k1(self, monkeypatch):
+        import pflyub.characters as ch
+
+        assert verify_limitpfaff(2, 1, 6) is None
+        # no N_(k,e) reaches a pole-order weight: the witness bound 2 * bound + 4m is named
+        monkeypatch.setattr(ch, "in_N", lambda mu, k, e, n: False)
+        with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 20$"):
+            ch.verify_limitpfaff(2, 1, 6)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_full_range(self, m):
         for k in range(m):
-            assert verify_limitpfaff(m, k, 6)["pass"] is True
+            assert verify_limitpfaff(m, k, 6) is None
 
     def test_window_is_built_once_per_m_and_bound(self):
         window = paired_window(3, 6)
         assert isinstance(window, tuple) and len(window) == 455
         assert paired_window(3, 6) is window
-        assert [verify_limitpfaff(3, k, 6)["checked"] for k in range(3)] == [455] * 3
-
-    def test_report_schema(self):
-        report = verify_limitpfaff(2, 1, 4)
-        assert {"m", "k", "bound", "checked", "pass"} <= set(report)
+        built = paired_window.cache_info().misses
+        for k in range(3):
+            assert verify_limitpfaff(3, k, 6) is None
+        assert paired_window.cache_info().misses == built
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

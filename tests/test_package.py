@@ -58,6 +58,17 @@ def test_verify_runs_without_dataclasses():
     assert "dataclasses" not in loaded
 
 
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # 2 MB of JSON: the table fills the pipe long before the reader leaves
+    argv = [sys.executable, "-m", "pflyub.cli", "lyubeznik", "--n", "52", "--k", "20"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'{"n": 52, '
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141
+
+
 def test_bare_import_loads_no_submodule():
     proc = run_python("-c", "import sys, pflyub; print(sorted(m for m in sys.modules if m.startswith('pflyub.')))")
     assert proc.returncode == 0, proc.stderr
@@ -82,7 +93,8 @@ def test_star_import_and_dir_list_every_public_name():
 # Runs the README commands (every `localcoh` family, `bott` zero and nonzero,
 # `verify` at --n-max 4) and the benchmark's library path (`build_table`, then
 # `to_obj`, `to_csv` and `to_latex`) under sys.setprofile, and prints the public
-# functions, and the public classes outside `errors`, whose code never ran.
+# functions, and the methods of the public classes outside `errors`, whose code
+# never ran; a method is named once, by its code, so an alias adds no name.
 REACH = """
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 import pflyub
@@ -121,34 +133,40 @@ with contextlib.redirect_stdout(io.StringIO()):
 sys.setprofile(None)
 
 
-def codes(cls):
-    for member in vars(cls).values():
-        member = getattr(member, "fget", None) or getattr(member, "__func__", member)
-        if inspect.isfunction(member):
-            yield member.__code__
-
-
 unreached = []
+methods = {}  # code -> "module.Class.method"
 for info in pkgutil.iter_modules(pflyub.__path__):
     module = importlib.import_module("pflyub." + info.name)
     for name, value in vars(module).items():
         if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
             continue
-        if inspect.isfunction(value):
-            reached = inspect.unwrap(value).__code__ in entered
-        elif inspect.isclass(value) and info.name != "errors":
-            reached = not entered.isdisjoint(codes(value))
-        else:
-            continue
-        if not reached:
+        if inspect.isfunction(value) and inspect.unwrap(value).__code__ not in entered:
             unreached.append(info.name + "." + name)
+        elif inspect.isclass(value) and info.name != "errors":
+            for member in vars(value).values():
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    methods[member.__code__] = info.name + "." + member.__qualname__
+unreached += [name for code, name in methods.items() if code not in entered]
 print(json.dumps(sorted(unreached)))
 """
+
+# The methods no command or benchmark path enters, each kept for a reason.
+UNREACHED_METHODS = [
+    "lyubeznik.LyubeznikTable.__repr__",  # the text pytest shows for a failure
+    "polyring.QPoly.__hash__",  # the partner of the __eq__ that the route comparison uses
+    "polyring.QPoly.__neg__",  # read by name in perfbench/spans.py
+    "polyring.QPoly.__pow__",  # read by name in perfbench/spans.py
+    "polyring.QPoly.__repr__",  # the text pytest shows for a failure
+    "polyring.QPoly.__rsub__",  # read by name in perfbench/spans.py
+    "polyring.QPoly.__sub__",  # read by name in perfbench/spans.py
+]
+
 
 def test_every_public_function_and_class_is_reached_by_a_command_or_the_benchmark():
     proc = run_python("-c", REACH)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(proc.stdout) == UNREACHED_METHODS
 
 
 def test_unknown_name_raises_attribute_error():
