@@ -101,6 +101,11 @@ class TestExpand:
 
 
 class TestBuildTable:
+    def test_n6_k1(self):
+        table = build_table(6, 1)
+        assert table.dim == 9
+        assert entries(table) == {(0, 5): 1, (5, 9): 1, (9, 9): 1}
+
     def test_n5_k1(self):
         table = build_table(5, 1)
         assert table.dim == 7
@@ -117,6 +122,11 @@ class TestBuildTable:
     def test_k0_is_one(self):
         for n in range(2, 14):
             assert entries(build_table(n, 0)) == {(0, 0): 1}
+
+    def test_even_hypersurface_all_sizes(self):
+        for n in (2, 4, 6, 8, 10, 12):
+            d = comb(n, 2)
+            assert entries(build_table(n, n // 2 - 1)) == {(d - 1, d - 1): 1}
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -464,6 +474,11 @@ class TestCli:
     def test_bott_zero(self, capsys):
         assert main(["bott", "--gamma=-1,-1,0"]) == 0
         assert capsys.readouterr().out.strip() == "zero"
+
+    def test_verify_small(self, capsys):
+        assert main(["verify", "--n-max", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "two_path_tables: PASS" in out
 
     def test_verify_summary_lines_and_suite_seconds(self, capsys):
         assert main(["verify", "--n-max", "4"]) == 0
