@@ -27,7 +27,7 @@ _HOME = {
         "kgroup": (
             "localcoh_class_even_D",
             "localcoh_class_even_Q",
-            "localcoh_class_odd_D_reversed",
+            "localcoh_class_odd_D",
             "q_to_d",
             "reverse_class",
         ),

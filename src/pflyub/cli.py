@@ -99,6 +99,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _write(text: str) -> None:
+    """Write all of ``text`` to stdout's binary layer, if it has one, until it
+    takes the last byte or raises (BrokenPipeError once the reader has left):
+    an unbuffered stdout may take part of a write that its text layer drops."""
+    sys.stdout.flush()
+    stream, data = getattr(sys.stdout, "buffer", None), memoryview(text.encode())
+    if stream is None:  # a text-only stdout, such as a StringIO
+        stream, data = sys.stdout, text
+    while data:
+        data = data[stream.write(data) :]
+
+
 # Each command imports the modules it runs inside its branch, so start-up
 # loads only those (``verify`` loads every module).
 def _dispatch(command: str, opts: dict) -> int:
@@ -106,18 +118,14 @@ def _dispatch(command: str, opts: dict) -> int:
         from .lyubeznik import build_table
 
         table = build_table(opts["n"], opts["k"])
-        if opts["format"] == "json":
-            print(table.to_json())
-        elif opts["format"] == "csv":
-            sys.stdout.write(table.to_csv())
-        else:
-            sys.stdout.write(table.to_latex())
+        emit = {"json": lambda: table.to_json() + "\n", "csv": table.to_csv, "latex": table.to_latex}
+        _write(emit[opts["format"]]())
         return 0
 
     if command == "genfun":
         from .lyubeznik import build_table
 
-        print(build_table(opts["n"], opts["k"]).to_genfun_json())
+        _write(build_table(opts["n"], opts["k"]).to_genfun_json() + "\n")
         return 0
 
     if command == "localcoh":

@@ -48,13 +48,17 @@ def _check_args(m: int, a: int, b: int) -> None:
         raise ValueError(f"require b >= 2a-1 = {2 * a - 1}, got b={b}")
 
 
-def zset_rectangle(m: int, a: int, e: int) -> frozenset[tuple[tuple[int, ...], int]]:
-    """Filtration labels of the quotient by an a x (e+1) rectangle ideal:
-    all (x, a-1) with x in P(m) and x_1 = ... = x_a <= e."""
+def _check_zset(m: int, a: int, e: int) -> None:
     if not 1 <= a <= m:
         raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
     if e < 0:
         raise ValueError(f"require e >= 0, got e={e}")
+
+
+def zset_rectangle(m: int, a: int, e: int) -> frozenset[tuple[tuple[int, ...], int]]:
+    """Filtration labels of the quotient by an a x (e+1) rectangle ideal:
+    all (x, a-1) with x in P(m) and x_1 = ... = x_a <= e."""
+    _check_zset(m, a, e)
     return frozenset(((v,) * a + tail, a - 1) for v in range(e + 1) for tail in _weakly_decreasing(m - a, 0, v))
 
 
@@ -62,9 +66,6 @@ def zset_thickened(m: int, a: int, e: int) -> frozenset[tuple[tuple[int, ...], i
     """Filtration labels for the rectangle with a column of ones underneath,
     z = ((e+1)^a, 1^(m-a)): the sentinel (0, m-1) plus all (x, a-1) with
     x_1 = ... = x_a <= e and every part of x at least 1."""
-    if not 1 <= a <= m:
-        raise ValueError(f"require 1 <= a <= m, got a={a}, m={m}")
-    if e < 0:
-        raise ValueError(f"require e >= 0, got e={e}")
+    _check_zset(m, a, e)
     labels = frozenset(((v,) * a + tail, a - 1) for v in range(1, e + 1) for tail in _weakly_decreasing(m - a, 1, v))
     return labels | {((0,) * m, m - 1)}

@@ -7,11 +7,12 @@ rank-one terms a_s(q) * b_s(w), one per basis module that occurs, each kept
 as its list of factor pairs (a_s, b_s) of q-polynomials, the q of b_s
 standing for w:
 
-* ``_closed_factors`` evaluates the closed formulas directly (with the even
-  hypersurface case k = m-1 dispatched to (q*w)^(C(n,2)-1));
+* ``_closed_factors`` evaluates one closed formula in n for both parities
+  (with the even hypersurface case k = m-1 dispatched to (q*w)^(C(n,2)-1));
 * ``_composed_factors`` composes the Grothendieck-group class of the local
-  cohomology (reversed so that w tracks j = C(n,2) - inner degree) with the
-  origin local cohomology of each basis module.
+  cohomology, graded by cohomological degree and reversed so that w tracks
+  j = C(n,2) - that degree, with the origin local cohomology of each basis
+  module.
 
 ``build_table`` compares the two lists, expands only the closed one (both,
 if the lists differ), and refuses to emit unless the expansions agree
@@ -29,7 +30,7 @@ from math import comb, gcd
 from operator import add
 
 from .errors import PathMismatchError, TableInvariantError
-from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D_reversed, reverse_class
+from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D, reverse_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
 from .polyring import QPoly
@@ -165,39 +166,30 @@ def _check_nk(n: int, k: int) -> int:
 
 
 def _closed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
-    """The closed formulas, with the even hypersurface case k = m-1
-    dispatched to (q*w)^(C(n,2)-1)."""
+    """The closed formula, one for both parities: with r = floor((n-1)/2),
+    a_s = q^(s(2s+3-2(n mod 2))) binom(r, s)_{q^4} and
+    b_s = q^(k(2k+3) - 2s(2k-n+2)) binom(r-s-1, k-s)_{q^4} for s = 0..k; the
+    even hypersurface case k = n/2-1 is dispatched to (q*w)^(C(n,2)-1)."""
     m = _check_nk(n, k)
     q = QPoly.q
     if n % 2 == 0 and k == m - 1:
         corner = q(comb(n, 2) - 1)
         return [(corner, corner)]
-    factors = []
+    r, factors = (n - 1) // 2, []
     for s in range(k + 1):
-        if n % 2 == 0:
-            qpart = q(s * (2 * s + 3)) * gaussian_binomial(m - 1, s, power=4)
-            wexp = k * (2 * k + 3) - 4 * s * (k - m + 1)
-            wpart = q(wexp) * gaussian_binomial(m - s - 2, k - s, power=4)
-        else:
-            qpart = q(s * (2 * s + 1)) * gaussian_binomial(m, s, power=4)
-            wexp = k * (2 * k + 3) - 2 * s * (2 * k - 2 * m + 1)
-            wpart = q(wexp) * gaussian_binomial(m - s - 1, k - s, power=4)
+        qpart = q(s * (2 * s + 3 - 2 * (n % 2))) * gaussian_binomial(r, s, power=4)
+        wpart = q(k * (2 * k + 3) - 2 * s * (2 * k - n + 2)) * gaussian_binomial(r - s - 1, k - s, power=4)
         factors.append((qpart, wpart))
     return factors
 
 
 def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
-    """The origin local cohomology h(p) of each basis module p, paired with
-    the module's coefficient in the class of the local cohomology, graded by
-    w^j with j = C(n,2) - cohomological degree."""
+    """The origin local cohomology h(p) of each basis module p (Q_p for even n,
+    D_p for odd n), paired with the module's coefficient in the class of the
+    local cohomology, regraded by w^j with j = C(n,2) - cohomological degree."""
     m = _check_nk(n, k)
-    if n % 2 == 0:
-        cls = reverse_class(localcoh_class_even_Q(m, k), comb(n, 2))
-        h = lambda p: h0_Q(m, p)
-    else:
-        cls = localcoh_class_odd_D_reversed(m, k)
-        h = lambda p: h0_D_odd(m, p)
-    return [(h(p), coeff) for p, coeff in enumerate(cls) if coeff]
+    cls, h = (localcoh_class_even_Q, h0_Q) if n % 2 == 0 else (localcoh_class_odd_D, h0_D_odd)
+    return [(h(m, p), coeff) for p, coeff in enumerate(reverse_class(cls(m, k), comb(n, 2))) if coeff]
 
 
 def _strided(poly: QPoly) -> tuple[int, int, list[int], tuple[int, ...]]:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from pflyub.kgroup import (
     localcoh_class_even_D,
     localcoh_class_even_Q,
-    localcoh_class_odd_D_reversed,
+    localcoh_class_odd_D,
     q_to_d,
     reverse_class,
 )
@@ -71,15 +71,16 @@ class TestLocalCohClasses:
                 assert c[k] == q(shift)
 
     def test_odd_reversed_m2_k1(self):
-        c = localcoh_class_odd_D_reversed(2, 1)
-        assert c == (q(5), q(7), ZERO)
+        c = localcoh_class_odd_D(2, 1)
+        assert c == (q(5), q(3), ZERO)
+        assert reverse_class(c, comb(5, 2)) == (q(5), q(7), ZERO)
 
     def test_odd_diagonal_prefactor(self):
+        # the p = k coefficient carries binom(m-k-1, 0) = 1 and sits in the codimension
         for m in range(1, 6):
             for k in range(m):
-                c = localcoh_class_odd_D_reversed(m, k)
-                shift = k * (2 * k + 3) - 2 * k * (2 * k - 2 * m + 1)
-                assert c[k] == q(shift)
+                c = localcoh_class_odd_D(m, k)
+                assert c[k] == q(comb(2 * m + 1 - 2 * k, 2))
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -87,20 +88,29 @@ class TestLocalCohClasses:
         with pytest.raises(ValueError):
             localcoh_class_even_D(3, 2)  # k = m-1 is the dedicated branch
         with pytest.raises(ValueError):
-            localcoh_class_odd_D_reversed(3, 3)
+            localcoh_class_odd_D(3, 3)
 
     def test_one_coefficient_per_basis_module(self):
         for m in range(2, 7):
             for k in range(m - 1):
                 assert len(localcoh_class_even_Q(m, k)) == len(localcoh_class_even_D(m, k)) == m + 1
-                assert len(localcoh_class_odd_D_reversed(m, k)) == m + 1
+                assert len(localcoh_class_odd_D(m, k)) == m + 1
 
     def test_nonnegative_coefficients(self):
         for m in range(1, 8):
             for k in range(m):
-                for cls in [localcoh_class_even_Q(m, k), localcoh_class_odd_D_reversed(m, k)]:
+                for cls in [localcoh_class_even_Q(m, k), localcoh_class_odd_D(m, k)]:
                     for poly in cls:
                         assert all(c > 0 for c in poly.terms().values())
+
+    def test_lowest_degree_is_the_codimension(self):
+        # the grade of the ideal of the rank <= 2k locus is its codimension C(n-2k, 2),
+        # since S is Cohen-Macaulay: no class has a term below it, and some term sits on it
+        for m in range(1, 29):
+            for k in range(m):
+                for n, cls in ((2 * m, localcoh_class_even_Q(m, k)), (2 * m + 1, localcoh_class_odd_D(m, k))):
+                    lowest = [min(poly.terms()) for poly in cls if poly]
+                    assert min(lowest) == comb(n - 2 * k, 2), (n, k)
 
 
 class TestReverseClass:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
-from pflyub import ext_mult, kgroup, partitions, verify, weights_bott
+from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bott
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import LyubeznikTable, build_table, valid_k_range
@@ -31,6 +31,21 @@ def _past_the_work_limit(*args):
     raise AssertionError("called past the work limit")
 
 
+@pytest.fixture
+def stub_slow_suites(monkeypatch):
+    """stub_slow_suites() makes the Bott and character verifiers no-ops, for a
+    test that asserts nothing about their suites: each costs about 0.5 s a run,
+    and both run for real in the session ``verify_report``.  A verifier named in
+    ``keep`` stays real."""
+
+    def stub(keep=()):
+        for module, name in ((weights_bott, "verify_pushforward"), (characters, "verify_limitpfaff")):
+            if name not in keep:
+                monkeypatch.setattr(module, name, lambda *args: None)
+
+    return stub
+
+
 class TestComposedPath:
     def test_matches_closed_n6(self):
         assert expanded(ly._composed_factors(6, 1)) == entries(build_table(6, 1))
@@ -47,6 +62,12 @@ class TestComposedPath:
         # both routes expanded, even where the factor lists are equal, which build_table skips
         for k in valid_k_range(n):
             assert ly._expand(ly._closed_factors(n, k)) == ly._expand(ly._composed_factors(n, k))
+
+    def test_factor_lists_are_equal_for_every_admitted_table(self):
+        # so build_table expands one list for every table with n <= 56, the benchmark's among them
+        for n in range(2, 57):
+            for k in valid_k_range(n):
+                assert ly._closed_factors(n, k) == ly._composed_factors(n, k), (n, k)
 
 
 # q-polynomials for _expand: a_s with small exponents, so that rows collide, and
@@ -332,13 +353,15 @@ class TestEmitters:
 
 
 class TestVerifyAll:
-    def test_degenerate_range(self):
+    def test_degenerate_range(self, stub_slow_suites):
+        stub_slow_suites()
         report = verify_all(2)
         assert report["pass"] is True
         names = [s["name"] for s in report["suites"]]
         assert "two_path_tables" in names
 
-    def test_corrupted_closed_form_is_located(self, monkeypatch):
+    def test_corrupted_closed_form_is_located(self, monkeypatch, stub_slow_suites):
+        stub_slow_suites()
         real = ly._closed_factors
 
         def corrupted(n, k):
@@ -373,7 +396,8 @@ class TestVerifyAll:
             "character_limits": 6,
         }
 
-    def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch):
+    def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch, stub_slow_suites):
+        stub_slow_suites(keep=("verify_pushforward",))
         real = weights_bott.verify_pushforward
 
         def broken(m, p, bound):
@@ -389,7 +413,8 @@ class TestVerifyAll:
         assert suite["error"] == "VerificationError: pushforward(m=2, p=1): injected"
         assert all(s["pass"] for s in report["suites"] if s["name"] != "bott_pushforward")
 
-    def test_unexpected_exception_is_recorded(self, monkeypatch):
+    def test_unexpected_exception_is_recorded(self, monkeypatch, stub_slow_suites):
+        stub_slow_suites()
         def broken(m, a, b):
             raise TypeError("broken step")
 
@@ -480,7 +505,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "two_path_tables: PASS" in out
 
-    def test_verify_summary_lines_and_suite_seconds(self, capsys):
+    def test_verify_summary_lines_and_suite_seconds(self, capsys, stub_slow_suites):
+        stub_slow_suites()
         assert main(["verify", "--n-max", "4"]) == 0
         *lines, last = capsys.readouterr().out.splitlines()
         report = json.loads(last)
@@ -558,7 +584,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_verification_failure_exits_1(self, capsys, monkeypatch):
+    def test_verification_failure_exits_1(self, capsys, monkeypatch, stub_slow_suites):
+        stub_slow_suites()
         real = ly._closed_factors
         monkeypatch.setattr(
             ly, "_closed_factors", lambda n, k: real(n, k) + ([(ONE, ONE)] if (n, k) == (4, 1) else [])
@@ -599,7 +626,7 @@ class TestCli:
     def test_table_work_limit_refuses_before_any_class(self, capsys, monkeypatch):
         for module in (kgroup, ly):
             monkeypatch.setattr(module, "localcoh_class_even_Q", _past_the_work_limit)
-            monkeypatch.setattr(module, "localcoh_class_odd_D_reversed", _past_the_work_limit)
+            monkeypatch.setattr(module, "localcoh_class_odd_D", _past_the_work_limit)
         monkeypatch.setattr(ly, "_expand", _past_the_work_limit)
         # every binomial of k = 0 has degree 0, and k = m-1 at even n is one monomial
         for argv in (["lyubeznik", "--n", "1000000000", "--k", "0"], ["genfun", "--n", "2000004", "--k", "1000001"]):
@@ -713,7 +740,7 @@ def test_cli_answers_or_refuses_in_one_line(argv):
 def test_cli_refuses_huge_tables_before_any_class(command, n):
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("localcoh_class_even_Q", "localcoh_class_odd_D_reversed", "_expand"):
+        for name in ("localcoh_class_even_Q", "localcoh_class_odd_D", "_expand"):
             patch.setattr(ly, name, _past_the_work_limit)
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
             code = main([command, f"--n={n}", "--k=0"])

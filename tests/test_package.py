@@ -2,6 +2,7 @@
 the commands and the benchmark reach every public function and class."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -59,14 +60,18 @@ def test_verify_runs_without_dataclasses():
 
 
 def test_closed_stdout_exits_141_with_nothing_on_stderr():
-    # 2 MB of JSON: the table fills the pipe long before the reader leaves
-    argv = [sys.executable, "-m", "pflyub.cli", "lyubeznik", "--n", "52", "--k", "20"]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.read(10) == b'{"n": 52, '
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=120) == 141
+    # 0.8-2.2 MB in each format: the table fills the pipe long before the reader leaves; an
+    # unbuffered stdout writes it in one call, which the pipe takes only part of
+    heads = {"json": b'{"n": 52, ', "csv": b"i,j,lambda", "latex": b"\\begin{tab"}
+    base = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    for unbuffered, (fmt, head) in itertools.product(({}, {"PYTHONUNBUFFERED": "1"}), heads.items()):
+        argv = [sys.executable, "-m", "pflyub.cli", "lyubeznik", "--n", "52", "--k", "20", "--format", fmt]
+        env = dict(base, PYTHONPATH=SRC, **unbuffered)
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == head, (fmt, unbuffered)
+            proc.stdout.close()
+            assert proc.stderr.read() == b"", (fmt, unbuffered)
+            assert proc.wait(timeout=120) == 141, (fmt, unbuffered)
 
 
 def test_bare_import_loads_no_submodule():
