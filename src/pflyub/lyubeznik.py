@@ -61,8 +61,8 @@ class LyubeznikTable:
     """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
     rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
     nonzero lambda_{i,j} at those j.  A built table's rows with the same columns
-    (one "shape") share one ``js`` tuple, which no caller may mutate; a hand-built
-    table may pass lists.  Per-column work runs once per shape, on ``tuple(js)``."""
+    (one "shape") share one ``js`` tuple, which no caller may mutate.  Per-column
+    work runs once per shape, keyed on ``js``."""
 
     __slots__ = ("n", "k", "dim", "rows")
 
@@ -88,7 +88,7 @@ class LyubeznikTable:
                 j = js[0] if i < 0 or js[0] < i else next(j for j in js if j > dim)
                 raise TableInvariantError(n, k, f"index outside 0 <= i <= j <= {dim}", (i, j))
             total = sum(lams)
-            odd_j = sum(compress(lams, odd_masks[tuple(js)]))
+            odd_j = sum(compress(lams, odd_masks[js]))
             odd = total - odd_j if i % 2 else odd_j  # the lambda_{i,j} with i + j odd
             euler += total - 2 * odd
         js, lams = self.rows.get(dim, ((), ()))
@@ -103,7 +103,7 @@ class LyubeznikTable:
         ``template(js)`` spells one shape's row, j (and fixed cells) baked in,
         with %d per lambda and NUL for i, and is built and split once per shape."""
         templates = _PerShape(lambda js: template(js).split("\0"))
-        return [str(i).join(templates[tuple(js)]) % tuple(lams) for i, (js, lams) in sorted(self.rows.items())]
+        return [str(i).join(templates[js]) % tuple(lams) for i, (js, lams) in sorted(self.rows.items())]
 
     def _cells(self, cell: str, sep: str) -> str:
         """``cell % j % lambda``, i at its NUL, per entry in (i, j) order, joined by ``sep``."""

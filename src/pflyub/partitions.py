@@ -65,7 +65,7 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> QPoly:
     degree = b * (a - b)
     if degree > _MAX_DEGREE:
         raise ValueError(f"binomial({a}, {b}) has degree {degree}, above the limit {_MAX_DEGREE}")
-    coeffs = _gauss(a, b) if degree else (1,)
+    coeffs = _gauss(a, b)
     # every coefficient is a positive int, so the terms are already canonical
     return _raw(dict(zip(range(0, power * len(coeffs), power), coeffs)))
 

