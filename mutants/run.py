@@ -1,0 +1,79 @@
+"""Mutation run: each mutant is one text replacement in ``src/pflyub`` that the
+tier-1 tests must detect.
+
+    python3 mutants/run.py
+
+For each mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory and applies the replacement there; the replacement
+must match exactly once.  It then runs ``tests/test_acceptance.py`` plus the
+mutant's test file with ``pytest -x`` and prints ``killed`` or ``survived``.
+It exits 1 on a survivor or a replacement that does not match exactly once.
+The unmutated tests must pass, or every mutant reads as killed.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (module in src/pflyub, text, replacement, test file); each breaks one check
+# that tier-1 makes once, in the session verify report or in one test
+MUTANTS = [
+    # the composed route regraded one degree too far: the routes disagree
+    ("lyubeznik.py", "comb(n, 2))) if coeff]", "comb(n, 2) + 1)) if coeff]", "test_lyubeznik.py"),
+    # the table dimension off by one: the corner entry moves
+    ("lyubeznik.py", "dim = comb(n, 2) - comb(n - 2 * k, 2)", "dim = comb(n, 2) - comb(n - 2 * k, 2) + 1", "test_lyubeznik.py"),
+    # genfun terms lose the space after "c":
+    ("lyubeznik.py", '"ew": %d, "c": %%d}', '"ew": %d, "c":%%d}', "test_lyubeznik.py"),
+    # a binomial argument of the even D-class
+    ("kgroup.py", "gaussian_binomial(m - s - 1, k - s, power=4)", "gaussian_binomial(m - s, k - s, power=4)", "test_kgroup.py"),
+    # the grading reversal about the wrong degree
+    ("kgroup.py", "p.reverse(d)", "p.reverse(d + 4)", "test_kgroup.py"),
+    # the binomial oracle enumerates a box one column short
+    ("partitions.py", "_weakly_decreasing(a - b, 0, b)", "_weakly_decreasing(a - b, 0, b - 1)", "test_partitions.py"),
+    # a shift of the pole-order origin local cohomology
+    ("origin_localcoh.py", "- 4 * (m - k - 1) * k", "- 4 * (m - k) * k", "test_origin_localcoh.py"),
+    # a binomial argument of the closed Ext series
+    ("ext_mult.py", "gaussian_binomial(m - 1, a - 1, power=4)", "gaussian_binomial(m, a - 1, power=4)", "test_ext_mult.py"),
+    # rectangle labels one level too high: they meet the next level's
+    ("ext_mult.py", ", a - 1) for v in range(e + 1)", ", a) for v in range(e + 1)", "test_ext_mult.py"),
+    # the pole-order character's bound made strict
+    ("characters.py", "mu[n - 1 - 2 * k] >= -2 * k", "mu[n - 1 - 2 * k] > -2 * k", "test_characters.py"),
+]
+
+
+def run(module: str, old: str, new: str, tests: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = Path(tmp, "src", "pflyub", module)
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"matches {text.count(old)} times"
+        path.write_text(text.replace(old, new))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py", f"tests/{tests}"],
+            cwd=tmp,
+            env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+    return {0: "survived", 1: "killed"}.get(result.returncode, f"pytest exit {result.returncode}")
+
+
+def main() -> int:
+    failed = False
+    for module, old, new, tests in MUTANTS:
+        outcome = run(module, old, new, tests)
+        print(f"{outcome}: {module}: {old!r} -> {new!r}", flush=True)
+        failed |= outcome != "killed"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
