@@ -49,6 +49,12 @@ class TestSeries:
         with pytest.raises(ValueError):
             ext_series_closed(3, 2, 2)  # b < 2a-1
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_enum_equals_closed(self, m):
+        for a in range(1, m + 1):
+            for b in (2 * a - 1, 2 * a, 2 * a + 3):
+                assert ext_series_enum(m, a, b) == ext_series_closed(m, a, b)
+
     def test_coefficients_count_box_partitions_by_size(self):
         m, a = 5, 3
         series = ext_series_enum(m, a, 2 * a)
@@ -84,6 +90,14 @@ class TestZSets:
             if p == 3:
                 continue
             assert len(x) == 4 and x[-1] >= 1
+
+    def test_disjointness(self):
+        # labels of the rank filtration at level k are disjoint from level k-1
+        for m in range(1, 6):
+            for k in range(1, m):
+                a = m - k
+                for e in range(5):
+                    assert not (zset_rectangle(m, a, e) & zset_thickened(m, a + 1, e))
 
     def test_inclusion(self):
         for m in range(1, 6):

@@ -10,11 +10,17 @@ from pflyub.kgroup import (
     q_to_d,
     reverse_class,
 )
+from pflyub.partitions import gaussian_binomial
 from pflyub.polyring import ZERO, QPoly
 
 
 def q(e):
     return QPoly.q(e)
+
+
+def in_q4(poly):
+    """poly with q replaced by q^4, written out here rather than taken from the library."""
+    return QPoly({4 * e: c for e, c in poly.terms().items()})
 
 
 def qclass(n, **coeffs):
@@ -118,6 +124,17 @@ class TestReverseClass:
 
 
 class TestGradingReversalIdentity:
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_reversal_closed_form(self, m):
+        d = comb(2 * m, 2)
+        for k in range(m - 1):
+            got = reverse_class(localcoh_class_even_Q(m, k), d)
+            expected = [ZERO] * (m + 1)
+            for p in range(k + 1):
+                shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
+                expected[p] = q(shift) * in_q4(gaussian_binomial(m - p - 2, k - p))
+            assert got == tuple(expected)
+
     def test_d0_coefficient_palindromic_up_to_shift(self):
         for m in range(2, 8):
             for k in range(m - 1):

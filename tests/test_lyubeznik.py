@@ -57,6 +57,12 @@ class TestComposedPath:
     def test_n4_hypersurface_composes_to_special_case(self):
         assert expanded(ly._composed_factors(4, 1)) == {(5, 5): 1}
 
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_two_paths_agree(self, n):
+        # both routes expanded, even where the factor lists are equal, which build_table skips
+        for k in valid_k_range(n):
+            assert ly._expand(ly._closed_factors(n, k)) == ly._expand(ly._composed_factors(n, k))
+
     def test_factor_lists_are_equal_for_every_admitted_table(self):
         # so build_table expands one list for every table with n <= 56, the benchmark's among them
         for n in range(2, 57):
