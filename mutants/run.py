@@ -43,6 +43,18 @@ MUTANTS = [
     ("ext_mult.py", ", a - 1) for v in range(e + 1)", ", a) for v in range(e + 1)", "test_ext_mult.py"),
     # the pole-order character's bound made strict
     ("characters.py", "mu[n - 1 - 2 * k] >= -2 * k", "mu[n - 1 - 2 * k] > -2 * k", "test_characters.py"),
+    # the Gaussian product step multiplies by 1 - q^(c+i-1), not 1 - q^(c+i)
+    ("partitions.py", "shift = [0] * (c + i)", "shift = [0] * (c + i - 1)", "test_partitions.py"),
+    # the division by 1 - q^i skips the last residue class
+    ("partitions.py", "for r in range(i):", "for r in range(i - 1):", "test_partitions.py"),
+    # the even window's heads start at 2s: weights with u_s = 2s-1 are lost
+    ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)", "_weakly_decreasing(s, 2 * s, bound)", "test_weights_bott.py"),
+    # the even join test removed: u_s = 2s-1 meets t_1 = 2s, not weakly decreasing
+    ("weights_bott.py", "(low if h[-1:] == (2 * s - 1,) else tails)", "tails", "test_weights_bott.py"),
+    # the even tails stop at 2s-1: weights with t_1 = 2s are lost
+    ("weights_bott.py", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s - 1)]", "test_weights_bott.py"),
+    # the even heads left in descending order: the window is out of order
+    ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
 ]
 
 

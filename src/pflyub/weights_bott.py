@@ -17,13 +17,13 @@ D-modules on skew-symmetric matrices:
                    lambda_{2i-1} = lambda_{2i} for i <= s,
                    lambda_{2i} = lambda_{2i+1} for i > s }
 
-Both sets are infinite; enumeration is truncated by a caller-supplied bound on
-the maximum absolute entry.
+Both sets are infinite; ``enumerate_B`` returns the window whose entries have
+absolute value at most a caller-supplied bound, as a tuple in ascending order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from operator import add, neg, sub
 from typing import Sequence
 
@@ -81,22 +81,22 @@ def in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
     return lam[0 : 2 * s : 2] == lam[1 : 2 * s : 2] and lam[2 * s + 1 :: 2] == lam[2 * s + 2 :: 2]
 
 
-def enumerate_B(s: int, n: int, bound: int) -> set[tuple[int, ...]]:
-    """Every weight of B(s, n) whose entries have absolute value <= bound."""
+def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Every weight of B(s, n) with entries of absolute value <= bound, as a tuple in ascending order."""
     _check_s(s, n)
     m = n // 2
     if n % 2 == 0:
-        # pair values v_i = lambda_{2i-1} = lambda_{2i}
-        return {
-            _doubled(v)
-            for v in _weakly_decreasing(m, -bound, bound)
-            if not (s >= 1 and v[s - 1] < 2 * s - 1) and not (s <= m - 1 and v[s] > 2 * s)
-        }
-    # odd: (u_1, u_1, ..., u_s, u_s, 2s, t_1, t_1, ..., t_{m-s}, t_{m-s})
-    if 2 * s > bound:
-        return set()
-    tails = [(2 * s,) + _doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]
-    return {_doubled(u) + tail for u in _weakly_decreasing(s, 2 * s, bound) for tail in tails}
+        # ascending heads (u_1, u_1, ..., u_s, u_s), u_s >= 2s-1, times ascending tails
+        # (t_1, t_1, ..., t_{m-s}, t_{m-s}), t_1 <= 2s; a head ending in 2s-1 takes t_1 < 2s
+        heads = [_doubled(u) for u in _weakly_decreasing(s, 2 * s - 1, bound)][::-1]
+        tails = [_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)][::-1]
+        low = tails[: bisect_left(tails, (2 * s,))]
+        return tuple(h + t for h in heads for t in (low if h[-1:] == (2 * s - 1,) else tails))
+    if 2 * s > bound:  # odd: the middle entry 2s is outside the box
+        return ()
+    heads = [_doubled(u) for u in _weakly_decreasing(s, 2 * s, bound)][::-1]
+    tails = [(2 * s,) + _doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)][::-1]
+    return tuple(h + t for h in heads for t in tails)
 
 
 def verify_pushforward(m: int, p: int, bound: int) -> None:
@@ -117,7 +117,7 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
         raise ValueError(f"bound must be at least 2m = {2 * m}")
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for lam in sorted(enumerate_B(m - p, 2 * m, bound)):
+    for lam in enumerate_B(m - p, 2 * m, bound):
         degree, weight = bott(dual(lam) + (0,))
         if degree is None:
             continue
@@ -134,6 +134,6 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
             raise VerificationError(f"pushforward(m={m}, p={p}): {lam} and {images[image]} share the image {image}")
         images[image] = lam
     if bound >= 2 * m + 2:
-        missing = enumerate_B(m - p, 2 * m + 1, bound - 2) - images.keys()
+        missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
         if missing:
-            raise VerificationError(f"pushforward(m={m}, p={p}): window weight {min(missing)} has no preimage")
+            raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -40,7 +40,7 @@ class TestDual:
 
 class TestEnumerateB:
     def test_even_rank_one(self):
-        assert sorted(enumerate_B(1, 2, 3)) == [(1, 1), (2, 2), (3, 3)]
+        assert enumerate_B(1, 2, 3) == ((1, 1), (2, 2), (3, 3))
 
     def test_even_s_zero(self):
         got = enumerate_B(0, 4, 2)
@@ -49,18 +49,20 @@ class TestEnumerateB:
         assert len(got) == 6  # pairs (v1 >= v2) drawn from {0, -1, -2}
 
     def test_odd_example(self):
-        assert sorted(enumerate_B(1, 3, 3)) == [(2, 2, 2), (3, 3, 2)]
+        assert enumerate_B(1, 3, 3) == ((2, 2, 2), (3, 3, 2))
 
     def test_odd_fixed_entry(self):
         for w in enumerate_B(2, 5, 6):
             assert w[4] == 4
 
     def test_predicate_matches_enumeration(self):
-        for s, n, bound in [(0, 4, 3), (1, 4, 3), (2, 4, 4), (0, 5, 3), (1, 5, 4), (2, 5, 5)]:
-            got = enumerate_B(s, n, bound)
-            for w in got:
-                assert in_B(w, s, n)
-            assert in_B((0,) * n, s, n) == ((0,) * n in got)
+        # the window is every weight in_B accepts in the box, ascending, each once;
+        # bounds below 2s-1 leave the even window empty
+        for n in range(2, 8):
+            for bound in range(7):
+                box = sorted(combinations_with_replacement(range(bound, -bound - 1, -1), n))
+                for s in range(n // 2 + 1):
+                    assert list(enumerate_B(s, n, bound)) == [w for w in box if in_B(w, s, n)]
 
     def test_bad_s(self):
         zero = (0,) * 4
@@ -79,8 +81,8 @@ class TestVerifyPushforward:
     def test_m1_p0_survivors(self):
         assert verify_pushforward(1, 0, 6) is None
         # lambda = (t, t) for t = 1..6; only t >= 3 survives, in degree 2
-        domain = sorted(enumerate_B(1, 2, 6))
-        assert domain == [(t, t) for t in range(1, 7)]
+        domain = enumerate_B(1, 2, 6)
+        assert domain == tuple((t, t) for t in range(1, 7))
         assert [bott(dual(lam) + (0,))[0] for lam in domain] == [None, None, 2, 2, 2, 2]
 
     def test_m1_p0_images_patterned(self):
@@ -94,6 +96,14 @@ class TestVerifyPushforward:
     def test_m1_p1_dense_orbit_degree_zero(self):
         assert verify_pushforward(1, 1, 6) is None
         assert {bott(dual(lam) + (0,))[0] for lam in enumerate_B(0, 2, 6)} == {0}
+
+    def test_suite_windows(self):
+        # the windows that verify's bott_pushforward visits, m <= 4 and p = 0..m
+        even = [len(enumerate_B(m - p, 2 * m, 2 * m + 6)) for m in range(1, 5) for p in range(m + 1)]
+        odd = [len(enumerate_B(m - p, 2 * m + 1, 2 * m + 4)) for m in range(1, 5) for p in range(m + 1)]
+        assert even == [8, 9, 36, 129, 66, 120, 925, 1425, 455, 330, 4565, 14592, 13413, 3060]
+        assert sum(even) == 39_133
+        assert odd == [5, 7, 15, 77, 45, 35, 420, 819, 286, 70, 1596, 6885, 7480, 1820]
 
     def test_p_equals_m_all_zero_weight(self):
         assert bott((0, 0, 0, 0, 0)) == (0, (0, 0, 0, 0, 0))
