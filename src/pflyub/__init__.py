@@ -22,7 +22,7 @@ _HOME = {
     name: module
     for module, names in {
         "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
-        "ext_mult": ("ext_series_closed", "ext_series_enum", "zset_rectangle", "zset_thickened"),
+        "ext_mult": ("ext_series_enum", "zset_rectangle", "zset_thickened"),
         "characters": ("in_D", "in_N", "in_pole", "verify_limitpfaff"),
         "kgroup": (
             "localcoh_class_even_D",

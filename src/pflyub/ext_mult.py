@@ -1,14 +1,15 @@
-"""Ext-multiplicity series of invariant-ideal quotients, by two routes.
+"""Ext-multiplicity series of invariant-ideal quotients, by box enumeration.
 
 For the quotient by the ideal of an a x b rectangle (n = 2m even, b >= 2a-1),
 the graded multiplicity of the determinant power det(W*)^(n+b-2a) in
-Ext(S/I_{a x b}, S) is computed either by direct enumeration,
+Ext(S/I_{a x b}, S) is
 
     sum over partitions beta in an (m-a) x (a-1) box of
-        q^( C(2m,2) - C(2a-2,2) - 4(a-1) - 4|beta| ),
+        q^( C(2m,2) - C(2a-2,2) - 4(a-1) - 4|beta| ).
 
-or in closed form as q^(a(2a-3) - m(4a-2m-3) + 1) * binom(m-1, a-1)_{q^4}.
-The value does not depend on b, which only gates validity.
+The value does not depend on b, which only gates validity.  By graded local
+duality the series reversed in C(2m,2) is h0_Q(m, a-1), the origin local
+cohomology of Q_(a-1); the ``ext_series`` suite of ``verify`` checks this.
 
 The Z-sets record which subquotient pairs (x, p) occur in the standard
 filtration of S/I_z, for the two shapes of z needed downstream: a rectangle
@@ -22,23 +23,16 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from .partitions import _weakly_decreasing, gaussian_binomial
+from .partitions import _weakly_decreasing
 from .polyring import QPoly
 
 
 def ext_series_enum(m: int, a: int, b: int) -> QPoly:
-    """The multiplicity series by box enumeration (the brute-force route)."""
+    """The multiplicity series by box enumeration."""
     _check_args(m, a, b)
     base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
     sizes = Counter(map(sum, _weakly_decreasing(m - a, 0, a - 1)))
     return QPoly({base - 4 * size: count for size, count in sizes.items()})
-
-
-def ext_series_closed(m: int, a: int, b: int) -> QPoly:
-    """The multiplicity series in closed form."""
-    _check_args(m, a, b)
-    shift = a * (2 * a - 3) - m * (4 * a - 2 * m - 3) + 1
-    return QPoly.q(shift) * gaussian_binomial(m - 1, a - 1, power=4)
 
 
 def _check_args(m: int, a: int, b: int) -> None:

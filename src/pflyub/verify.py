@@ -13,7 +13,7 @@ from time import perf_counter
 from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
 from .kgroup import localcoh_class_even_D, localcoh_class_even_Q, q_to_d, reverse_class
-from .lyubeznik import build_table, valid_k_range
+from .lyubeznik import _closed_factors, build_table, valid_k_range
 from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import ZERO, QPoly
@@ -82,15 +82,11 @@ def _kgroup_checks(m_max: int, m_max_swap: int):
             )
             yield
     for m in range(2, m_max_swap + 1):
-        d = comb(2 * m, 2)
         for k in range(m - 1):
-            reversed_cls = reverse_class(localcoh_class_even_Q(m, k), d)
-            expected = [ZERO] * (m + 1)
-            for p in range(k + 1):
-                shift = k * (2 * k + 3) - 4 * p * (k - m + 1)
-                expected[p] = QPoly.q(shift) * gaussian_binomial(m - p - 2, k - p, power=4)
+            # the reversed class is the closed route's w-factors, padded to m+1 terms
+            closed = tuple(b for _, b in _closed_factors(2 * m, k)) + (ZERO,) * (m - k)
             _require(
-                reversed_cls == tuple(expected),
+                reverse_class(localcoh_class_even_Q(m, k), comb(2 * m, 2)) == closed,
                 f"grading reversal closed form fails at (m={m}, k={k})",
             )
             yield
@@ -117,8 +113,9 @@ def _ext_checks(m_max: int):
     for m in range(1, m_max + 1):
         for a in range(1, m + 1):
             for b in (2 * a - 1, 2 * a, 2 * a + 3):
+                # graded local duality: Ext^(N-i)(M, S) is dual to H^i_m(M), N = C(2m, 2)
                 _require(
-                    ext_mult.ext_series_enum(m, a, b) == ext_mult.ext_series_closed(m, a, b),
+                    ext_mult.ext_series_enum(m, a, b).reverse(comb(2 * m, 2)) == h0_Q(m, a - 1),
                     f"Ext series mismatch at (m={m}, a={a}, b={b})",
                 )
                 yield

@@ -67,7 +67,7 @@ def test_criterion_05_origin_splices(verify_report):
 
 
 def test_criterion_06_ext_oracle(verify_report):
-    _read(6, "Ext series oracle m <= 7 and Z-sets m <= 5", 5.0, verify_report, "ext_series", 134)
+    _read(6, "Ext series by local duality m <= 7 and Z-sets m <= 5", 5.0, verify_report, "ext_series", 134)
 
 
 def test_criterion_07_bott_pushforward(verify_report):

@@ -13,7 +13,7 @@ from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bot
 from pflyub.cli import main
 from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
 from pflyub.lyubeznik import LyubeznikTable, build_table, valid_k_range
-from pflyub.polyring import ONE, QPoly
+from pflyub.polyring import ONE, ZERO, QPoly
 from pflyub.verify import verify_all
 
 
@@ -385,6 +385,17 @@ class TestVerifyAll:
         assert "TypeError" in suite["error"]
         # the other suites still ran
         assert all(s["pass"] for s in report["suites"] if s["name"] != "ext_series")
+
+    def test_corrupted_h0_Q_is_located_by_duality(self, monkeypatch, stub_slow_suites):
+        stub_slow_suites()
+        real = verify.h0_Q
+        monkeypatch.setattr(verify, "h0_Q", lambda m, p: real(m, p) + (QPoly.q(1) if (m, p) == (3, 1) else ZERO))
+        report = verify_all(4)
+        failed = {s["name"]: s for s in report["suites"] if not s["pass"]}
+        # the splices read the same h0_Q; the tables' composed route imports its own
+        assert set(failed) == {"ext_series", "origin_splices"}
+        assert failed["ext_series"]["checked"] == 12  # every (m, a, b) before (3, 2, 3)
+        assert failed["ext_series"]["error"] == "VerificationError: Ext series mismatch at (m=3, a=2, b=3)"
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError):

@@ -39,22 +39,6 @@ class TestDual:
 
 
 class TestEnumerateB:
-    def test_even_rank_one(self):
-        assert enumerate_B(1, 2, 3) == ((1, 1), (2, 2), (3, 3))
-
-    def test_even_s_zero(self):
-        got = enumerate_B(0, 4, 2)
-        assert all(max(w) <= 0 for w in got)
-        assert all(w[0] == w[1] and w[2] == w[3] for w in got)
-        assert len(got) == 6  # pairs (v1 >= v2) drawn from {0, -1, -2}
-
-    def test_odd_example(self):
-        assert enumerate_B(1, 3, 3) == ((2, 2, 2), (3, 3, 2))
-
-    def test_odd_fixed_entry(self):
-        for w in enumerate_B(2, 5, 6):
-            assert w[4] == 4
-
     def test_predicate_matches_enumeration(self):
         # the window is every weight in_B accepts in the box, ascending, each once;
         # bounds below 2s-1 leave the even window empty
