@@ -3,12 +3,14 @@ tier-1 tests must detect.
 
     python3 mutants/run.py
 
-For each mutant, the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory and applies the replacement there; the replacement
-must match exactly once.  It then runs ``tests/test_acceptance.py`` plus the
-mutant's test file with ``pytest -x`` and prints ``killed`` or ``survived``.
-It exits 1 on a survivor or a replacement that does not match exactly once.
-The unmutated tests must pass, or every mutant reads as killed.
+Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory.  The first run, the baseline, runs ``tests/test_acceptance.py`` plus
+every mutant's test file on the unmutated copy: a failure there would read as
+every mutant killed, so the script prints pytest's output and exits 1.  Then,
+for each mutant, it applies the replacement in a fresh copy (the replacement
+must match exactly once), runs ``tests/test_acceptance.py`` plus the mutant's
+test file with ``pytest -x`` and prints ``killed`` or ``survived``.  It exits 1
+on a survivor or a replacement that does not match exactly once.
 """
 
 import os
@@ -57,30 +59,60 @@ MUTANTS = [
     ("weights_bott.py", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s - 1)]", "test_weights_bott.py"),
     # the even heads left in descending order: the window is out of order
     ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
+    # validate lets a zero entry through
+    ("lyubeznik.py", "if min(lams) <= 0:", "if min(lams) < 0:", "test_lyubeznik.py"),
+    # validate checks i against the last column only: an entry below the diagonal passes
+    ("lyubeznik.py", "0 <= i <= js[0] and js[-1] <= dim", "0 <= i <= js[-1] <= dim", "test_lyubeznik.py"),
+    # the LaTeX cell limit made exclusive
+    ("lyubeznik.py", "if cells > _MAX_CELLS:", "if cells >= _MAX_CELLS:", "test_lyubeznik.py"),
+    # the stride the least exponent gap, not their gcd: gaps 2 and 3 lose a column
+    ("lyubeznik.py", "step = gcd(*[b - a for a, b in zip(exps, exps[1:])])", "step = min([b - a for a, b in zip(exps, exps[1:])], default=0)", "test_lyubeznik.py"),
+    # the lowest exponent of the even simple D-class: the two-term splice fails
+    ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
+    # the pole-order quotient no longer removes the next pole order: the limits fail
+    ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1, n))", "quotient = pole", "test_characters.py"),
 ]
 
 
-def run(module: str, old: str, new: str, tests: str) -> str:
+def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subprocess.CompletedProcess | str:
+    """``pytest -x`` over the acceptance file and ``tests`` in a temporary copy,
+    with ``mutant`` (module, text, replacement) applied, or the replacement's
+    match count if it does not match exactly once."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        path = Path(tmp, "src", "pflyub", module)
-        text = path.read_text()
-        if text.count(old) != 1:
-            return f"matches {text.count(old)} times"
-        path.write_text(text.replace(old, new))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py", f"tests/{tests}"],
+        if mutant:
+            module, old, new = mutant
+            path = Path(tmp, "src", "pflyub", module)
+            text = path.read_text()
+            if text.count(old) != 1:
+                return f"matches {text.count(old)} times"
+            path.write_text(text.replace(old, new))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+            + [f"tests/{name}" for name in tests],
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
         )
+
+
+def run(module: str, old: str, new: str, tests: str) -> str:
+    result = pytest([tests], (module, old, new))
+    if isinstance(result, str):
+        return result
     return {0: "survived", 1: "killed"}.get(result.returncode, f"pytest exit {result.returncode}")
 
 
 def main() -> int:
+    baseline = pytest(sorted({tests for *_, tests in MUTANTS}))
+    if baseline.returncode:
+        print(baseline.stdout + baseline.stderr, end="")
+        print(f"baseline failed (pytest exit {baseline.returncode}): the unmutated tests must pass", flush=True)
+        return 1
+    print("baseline passed: the unmutated tests pass", flush=True)
     failed = False
     for module, old, new, tests in MUTANTS:
         outcome = run(module, old, new, tests)

@@ -86,14 +86,6 @@ class TestZSets:
                 continue
             assert len(x) == 4 and x[-1] >= 1
 
-    def test_disjointness(self):
-        # labels of the rank filtration at level k are disjoint from level k-1
-        for m in range(1, 6):
-            for k in range(1, m):
-                a = m - k
-                for e in range(5):
-                    assert not (zset_rectangle(m, a, e) & zset_thickened(m, a + 1, e))
-
     def test_inclusion(self):
         for m in range(1, 6):
             for k in range(1, m):

@@ -6,7 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
 from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bott
@@ -57,12 +57,6 @@ class TestComposedPath:
     def test_n4_hypersurface_composes_to_special_case(self):
         assert expanded(ly._composed_factors(4, 1)) == {(5, 5): 1}
 
-    @pytest.mark.parametrize("n", range(2, 14))
-    def test_two_paths_agree(self, n):
-        # both routes expanded, even where the factor lists are equal, which build_table skips
-        for k in valid_k_range(n):
-            assert ly._expand(ly._closed_factors(n, k)) == ly._expand(ly._composed_factors(n, k))
-
     def test_factor_lists_are_equal_for_every_admitted_table(self):
         # so build_table expands one list for every table with n <= 56, the benchmark's among them
         for n in range(2, 57):
@@ -103,6 +97,7 @@ def _hand_built_rows(draw):
 
 class TestExpand:
     @given(st.lists(st.tuples(_A, _B), max_size=6), st.booleans())
+    @example([(QPoly({0: 1}), QPoly({0: 1, 2: 1, 5: 1}))], False)  # gaps 2 and 3: stride 1, not 2
     def test_matches_naive_accumulation(self, factors, cancel):
         if cancel and factors:
             a, b = factors[0]
@@ -185,15 +180,20 @@ class TestBuildTable:
         bad = LyubeznikTable(n=6, k=1, dim=9, rows={9: ((9,), [1]), 7: ((3,), [1])})
         with pytest.raises(TableInvariantError, match=r"\(7, 3\)"):
             bad.validate()
-        for rows, entry in (({0: ((5, 10), [1, 1])}, r"\(0, 10\)"), ({-1: ((2,), [1])}, r"\(-1, 2\)")):
+        below_diagonal = {0: ((5,), [1]), 7: ((3, 9), [1, 1]), 9: ((9,), [1])}  # row 7 also reaches past i
+        for rows, entry in (
+            ({0: ((5, 10), [1, 1])}, r"\(0, 10\)"),
+            ({-1: ((2,), [1])}, r"\(-1, 2\)"),
+            (below_diagonal, r"\(7, 3\)"),
+        ):
             with pytest.raises(TableInvariantError, match=r"at \(i,j\)=" + entry + ": index outside 0 <= i <= j <= 9"):
                 LyubeznikTable(n=6, k=1, dim=9, rows=rows).validate()
         missing_corner = LyubeznikTable(n=6, k=1, dim=9, rows={0: ((5,), [1])})
         with pytest.raises(TableInvariantError, match="corner"):
             missing_corner.validate()
-        negative = LyubeznikTable(n=4, k=0, dim=0, rows={0: ((0,), [-1])})
-        with pytest.raises(TableInvariantError, match="positive"):
-            negative.validate()
+        for lam in (-1, 0):
+            with pytest.raises(TableInvariantError, match=f"entry {lam} not positive"):
+                LyubeznikTable(4, 0, 0, {0: ((0,), [lam])}).validate()
         # lambda_{5,9} doubled: every other invariant holds
         euler_two = LyubeznikTable(n=6, k=1, dim=9, rows={0: ((5,), [1]), 5: ((9,), [2]), 9: ((9,), [1])})
         with pytest.raises(TableInvariantError, match="Euler characteristic is 2, expected 1"):
@@ -609,7 +609,7 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "above the limit 1000000" in err
 
-    def test_latex_cell_limit_refuses_before_formatting(self, capsys):
+    def test_latex_cell_limit_refuses_before_formatting(self, capsys, monkeypatch):
         # about 30,000 units of work, but 10,001 rows by 10,000 columns of cells
         assert main(["lyubeznik", "--n", "20001", "--k", "1", "--format", "latex"]) == 2
         captured = capsys.readouterr()
@@ -618,6 +618,12 @@ class TestCli:
         # the largest table with n <= 56 is within the limit
         assert main(["lyubeznik", "--n", "55", "--k", "17", "--format", "latex"]) == 0
         assert capsys.readouterr().out.count("\n") == 2 + len(build_table(55, 17).rows) + 1
+        # the limit is inclusive: table (6, 1) has 3 rows by 2 columns of cells
+        monkeypatch.setattr(ly, "_MAX_CELLS", 6)
+        assert build_table(6, 1).to_latex().startswith(r"\begin{tabular}{r|cc}")
+        monkeypatch.setattr(ly, "_MAX_CELLS", 5)
+        with pytest.raises(ValueError, match=r"^table\(6,1\) has 6 LaTeX cells, above the limit 5$"):
+            build_table(6, 1).to_latex()
 
     def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch, stub_slow_suites):
         stub_slow_suites()

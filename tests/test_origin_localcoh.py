@@ -76,21 +76,6 @@ class TestDOddFamily:
             h0_D_odd(2, -1)
 
 
-class TestSplices:
-    @pytest.mark.parametrize("m", range(1, 11))
-    def test_pole_vs_indecomposable(self, m):
-        # the long exact sequence shifts the pole-order family by one degree
-        for p in range(m):
-            assert q(1) * h0_Q(m, p) == h0_pf_pole(m, m - p - 1)
-
-    @pytest.mark.parametrize("m", range(2, 11))
-    def test_simple_two_term_splice(self, m):
-        # the two-term combination collapses by the Pascal identity
-        for s in range(1, m):
-            spliced = h0_pf_pole(m, m - s) + q(-1) * h0_pf_pole(m, m - s - 1)
-            assert h0_D_even(m, s) == spliced
-
-
 class TestGlobalBounds:
     def test_nonnegative_and_within_ambient_degree(self):
         for m in range(1, 9):
