@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # the composed route regraded one degree too far: the routes disagree
     ("lyubeznik.py", "comb(n, 2))) if coeff]", "comb(n, 2) + 1)) if coeff]", "test_lyubeznik.py"),
+    # the composed terms in reverse order: the expansion is the same, the factor lists are not
+    ("lyubeznik.py", "comb(n, 2))) if coeff]", "comb(n, 2))) if coeff][::-1]", "test_lyubeznik.py"),
     # the table dimension off by one: the corner entry moves
     ("lyubeznik.py", "dim = comb(n, 2) - comb(n - 2 * k, 2)", "dim = comb(n, 2) - comb(n - 2 * k, 2) + 1", "test_lyubeznik.py"),
     # the closed route's w-shift one off for s >= 1: the routes disagree

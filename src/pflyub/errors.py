@@ -13,18 +13,11 @@ class VerificationError(AssertionError):
 
 
 class PathMismatchError(VerificationError):
-    """The closed-form and composed generating functions disagree."""
+    """The closed-form and composed factor lists disagree."""
 
-    def __init__(self, n: int, k: int, exponents: tuple[int, int], closed: int, composed: int):
-        self.n = n
-        self.k = k
-        self.exponents = exponents
-        self.closed = closed
-        self.composed = composed
-        eq, ew = exponents
+    def __init__(self, n: int, k: int, s: int, factor: str, e: int, closed: int, composed: int):
         super().__init__(
-            f"L({n},{k}): coefficient of q^{eq}*w^{ew} differs: "
-            f"closed={closed}, composed={composed}"
+            f"L({n},{k}): term {s}, coefficient of {factor}^{e} differs: closed={closed}, composed={composed}"
         )
 
 
@@ -32,8 +25,5 @@ class TableInvariantError(VerificationError):
     """A Lyubeznik table entry violates a structural invariant."""
 
     def __init__(self, n: int, k: int, detail: str, entry: tuple[int, int] | None = None):
-        self.n = n
-        self.k = k
-        self.entry = entry
         where = f" at (i,j)={entry}" if entry is not None else ""
         super().__init__(f"table({n},{k}){where}: {detail}")

@@ -14,9 +14,9 @@ standing for w:
   j = C(n,2) - that degree, with the origin local cohomology of each basis
   module.
 
-``build_table`` compares the two lists, expands only the closed one (both,
-if the lists differ), and refuses to emit unless the expansions agree
-exactly; the table's rows are the checked L_k.  It then checks the
+``build_table`` requires the two lists to be equal term by term, refusing
+at the first differing term before anything is expanded, and expands the
+closed list into the table's rows, the checked L_k.  It then checks the
 structural invariants: entries positive, 0 <= i <= j <= dim, the corner entry
 lambda_{dim,dim} = 1 where dim = C(n,2) - C(n-2k,2) = k(2n-2k-1) is the
 dimension of the rank <= 2k locus, and the Euler characteristic
@@ -25,7 +25,8 @@ sum (-1)^(i-j) lambda_{i,j} = 1.
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import cache
+from itertools import compress, zip_longest
 from math import comb, gcd
 from operator import add
 
@@ -33,7 +34,7 @@ from .errors import PathMismatchError, TableInvariantError
 from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D, reverse_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
-from .polyring import QPoly
+from .polyring import ZERO, QPoly
 
 # The most work build_table takes on: n // 2 for the n // 2 + 1 basis modules
 # of the composed route's class, plus one unit per term product of the
@@ -44,17 +45,6 @@ _MAX_WORK = 1_000_000
 # occupied columns, which _MAX_WORK does not bound.  The largest table with
 # n <= 56 has 376,110, at (55, 17).
 _MAX_CELLS = 2_000_000
-
-
-class _PerShape(dict):
-    """A dict that builds and keeps ``build(key)`` for a missing key."""
-
-    def __init__(self, build) -> None:
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
 
 
 class LyubeznikTable:
@@ -79,7 +69,7 @@ class LyubeznikTable:
         n, k, dim = self.n, self.k, self.dim
         # H^i_m H^(N-j)_I(S) => H^(i+N-j)_m(S), which is E in degree N alone, so the sum is 1
         euler = 0
-        odd_masks = _PerShape(lambda js: [j & 1 for j in js])
+        odd_mask = cache(lambda js: [j & 1 for j in js])
         for i, (js, lams) in self.rows.items():
             if min(lams) <= 0:
                 j, lam = next((j, lam) for j, lam in zip(js, lams) if lam <= 0)
@@ -88,7 +78,7 @@ class LyubeznikTable:
                 j = js[0] if i < 0 or js[0] < i else next(j for j in js if j > dim)
                 raise TableInvariantError(n, k, f"index outside 0 <= i <= j <= {dim}", (i, j))
             total = sum(lams)
-            odd_j = sum(compress(lams, odd_masks[js]))
+            odd_j = sum(compress(lams, odd_mask(js)))
             odd = total - odd_j if i % 2 else odd_j  # the lambda_{i,j} with i + j odd
             euler += total - 2 * odd
         js, lams = self.rows.get(dim, ((), ()))
@@ -102,8 +92,8 @@ class LyubeznikTable:
         """Every row in ascending i as ``str(i).join(template(js)) % tuple(lams)``:
         ``template(js)`` spells one shape's row, j (and fixed cells) baked in,
         with %d per lambda and NUL for i, and is built and split once per shape."""
-        templates = _PerShape(lambda js: template(js).split("\0"))
-        return [str(i).join(templates[js]) % tuple(lams) for i, (js, lams) in sorted(self.rows.items())]
+        split = cache(lambda js: template(js).split("\0"))
+        return [str(i).join(split(js)) % tuple(lams) for i, (js, lams) in sorted(self.rows.items())]
 
     def _cells(self, cell: str, sep: str) -> str:
         """``cell % j % lambda``, i at its NUL, per entry in (i, j) order, joined by ``sep``."""
@@ -209,15 +199,15 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
     b_s meets is that b_s times a_s[i], with b_s's exponent tuple as its js;
     otherwise the row is one dense accumulator, strided by the gcd of the
     steps and offsets of the b_s that meet it, which the first b_s fills and
-    the others add into.  Every js comes from one dict of the distinct tuples,
+    the others add into.  Every js comes from one cache of the distinct tuples,
     looked up by its range (lo, step, size) for a row without holes, so rows
     with the same columns share one js, which no caller may mutate."""
-    shapes = _PerShape(lambda js: js if isinstance(js, tuple) else shapes[tuple(js)])
+    shape = cache(lambda js: js if isinstance(js, tuple) else shape(tuple(js)))
     meets: dict[int, list[tuple[int, tuple[int, int, list[int], tuple[int, ...]]]]] = {}
     for a, b in factors:
         if b:
             lo, step, c, exps = _strided(b)
-            column = lo, step, c, shapes[exps]
+            column = lo, step, c, shape(exps)
             for i, x in a.terms().items():
                 meets.setdefault(i, []).append((x, column))
     rows = {}
@@ -239,13 +229,8 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
         lams = list(filter(None, acc))
         if lams:
             js = range(lo, hi + 1, step)
-            rows[i] = (shapes[js if len(lams) == len(acc) else tuple(compress(js, acc))], lams)
+            rows[i] = (shape(js if len(lams) == len(acc) else tuple(compress(js, acc))), lams)
     return rows
-
-
-def _entries(rows: dict[int, tuple[tuple[int, ...], list[int]]]) -> dict[tuple[int, int], int]:
-    """The rows as {(i, j): lambda}."""
-    return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
 
 
 def _check_work(n: int, k: int, factors: list[tuple[QPoly, QPoly]]) -> None:
@@ -257,24 +242,26 @@ def _check_work(n: int, k: int, factors: list[tuple[QPoly, QPoly]]) -> None:
 
 
 def build_table(n: int, k: int) -> LyubeznikTable:
-    """Build the Lyubeznik table, insisting the two routes agree exactly.
+    """Build the Lyubeznik table, insisting the two routes agree term by term.
 
-    Equal factor lists have equal expansions; only when the lists differ are
-    both expanded and compared, so a mismatch names its first differing term.
-    Work past ``_MAX_WORK`` is refused before the composed route runs."""
+    The factor lists must be equal, so only the closed one is expanded.  Work
+    past ``_MAX_WORK`` is refused before the composed route runs, and a
+    mismatch before anything is expanded, naming the first differing term s,
+    its factor (q for a_s, w for b_s), the least exponent whose coefficients
+    differ, and both coefficients, a missing term being zero."""
     closed = _closed_factors(n, k)
     _check_work(n, k, closed)
     composed = _composed_factors(n, k)
-    rows = _expand(closed)
     if closed != composed:
-        _check_work(n, k, composed)
-        other = _expand(composed)
-        if rows != other:
-            mine, theirs = _entries(rows), _entries(other)
-            key = min(e for e in mine.keys() | theirs.keys() if mine.get(e, 0) != theirs.get(e, 0))
-            raise PathMismatchError(n, k, key, mine.get(key, 0), theirs.get(key, 0))
+        # neither route has a zero term, so lists that differ differ in a coefficient
+        for s, pair in enumerate(zip_longest(closed, composed, fillvalue=(ZERO, ZERO))):
+            for factor, mine, theirs in zip("qw", *pair):
+                if mine != theirs:
+                    mine, theirs = mine.terms(), theirs.terms()
+                    e = min(mine.items() ^ theirs.items())[0]
+                    raise PathMismatchError(n, k, s, factor, e, mine.get(e, 0), theirs.get(e, 0))
     dim = comb(n, 2) - comb(n - 2 * k, 2)
-    table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
+    table = LyubeznikTable(n=n, k=k, dim=dim, rows=_expand(closed))
     table.validate()
     return table
 

@@ -10,7 +10,7 @@ from math import comb
 from time import perf_counter
 
 from pflyub import build_table
-from pflyub.lyubeznik import _entries, valid_k_range
+from pflyub.lyubeznik import valid_k_range
 
 
 def _run(number, name, budget, fn):
@@ -39,7 +39,7 @@ def _read(number, name, budget, report, suite_name, checked):
 def test_criterion_01_published_table():
     def check():
         table = build_table(6, 1)
-        assert _entries(table.rows) == {(0, 5): 1, (5, 9): 1, (9, 9): 1}
+        assert table.rows == {0: ((5,), [1]), 5: ((9,), [1]), 9: ((9,), [1])}
         assert table.dim == 9
 
     _run(1, "published n=6 table", 1.0, check)
@@ -49,7 +49,7 @@ def test_criterion_02_hypersurface_case():
     def check():
         for n in (2, 4, 6, 8, 10, 12):
             d = comb(n, 2)
-            assert _entries(build_table(n, n // 2 - 1).rows) == {(d - 1, d - 1): 1}, n
+            assert build_table(n, n // 2 - 1).rows == {d - 1: ((d - 1,), [1])}, n
 
     _run(2, "even hypersurface closed form", 1.0, check)
 
@@ -87,7 +87,7 @@ def test_criterion_10_structural_properties():
         for n in range(2, 14):
             for k in valid_k_range(n):
                 table = build_table(n, k)
-                entries = _entries(table.rows)
+                entries = {(i, j): lam for i, (js, lams) in table.rows.items() for j, lam in zip(js, lams)}
                 dim = k * (2 * n - 2 * k - 1)
                 assert table.dim == dim, (n, k)
                 assert entries[(dim, dim)] == 1, (n, k)

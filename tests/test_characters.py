@@ -89,11 +89,6 @@ class TestVerifyLimitPfaff:
         with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 20$"):
             ch.verify_limitpfaff(2, 1, 6)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_full_range(self, m):
-        for k in range(m):
-            assert verify_limitpfaff(m, k, 6) is None
-
     def test_window_is_built_once_per_m_and_bound(self):
         window = paired_window(3, 6)
         assert isinstance(window, tuple) and len(window) == 455

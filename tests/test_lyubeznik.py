@@ -17,14 +17,19 @@ from pflyub.polyring import ONE, ZERO, QPoly
 from pflyub.verify import verify_all
 
 
+def _entries(rows):
+    """Rows {i: (js, lams)} as {(i, j): lambda}."""
+    return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
+
+
 def expanded(factors):
     """A route's factor list expanded to {(i, j): lambda}."""
-    return ly._entries(ly._expand(factors))
+    return _entries(ly._expand(factors))
 
 
 def entries(table):
     """A table's rows as {(i, j): lambda}."""
-    return ly._entries(table.rows)
+    return _entries(table.rows)
 
 
 def _past_the_work_limit(*args):
@@ -44,6 +49,20 @@ def stub_slow_suites(monkeypatch):
                 monkeypatch.setattr(module, name, lambda *args: None)
 
     return stub
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The factor lists ``_expand`` is called with from here on, in order."""
+    calls = []
+    real = ly._expand
+
+    def recorded(factors):
+        calls.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(ly, "_expand", recorded)
+    return calls
 
 
 class TestComposedPath:
@@ -108,7 +127,7 @@ class TestExpand:
                 for j, y in b.terms().items():
                     naive[i, j] = naive.get((i, j), 0) + x * y
         rows = ly._expand(factors)
-        assert ly._entries(rows) == {key: lam for key, lam in naive.items() if lam}
+        assert _entries(rows) == {key: lam for key, lam in naive.items() if lam}
         assert list(rows) == sorted(rows)
         shapes = {}
         for js, lams in rows.values():
@@ -152,19 +171,18 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(7, -1)
 
-    def test_mismatch_refused(self, monkeypatch):
+    def test_mismatch_refused(self, monkeypatch, expansions):
         real = ly._closed_factors
         monkeypatch.setattr(ly, "_closed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
         with pytest.raises(PathMismatchError) as err:
             ly.build_table(6, 1)
-        assert err.value.exponents == (0, 0)
-        assert (err.value.closed, err.value.composed) == (1, 0)
+        assert str(err.value) == "L(6,1): term 2, coefficient of q^0 differs: closed=1, composed=0"
+        assert expansions == []
 
     @pytest.mark.parametrize("n,k", [(6, 1), (9, 2), (12, 3)])
-    def test_differing_factors_with_equal_expansions_build(self, n, k, monkeypatch):
+    def test_differing_factors_with_equal_expansions_are_refused(self, n, k, monkeypatch, expansions):
         # split the last term a*b into (a + 1)*b - 1*b: the factor lists
-        # differ, the expansions do not
-        expected = build_table(n, k).rows
+        # differ, the expansions do not, and a_k has no constant term
         real = ly._closed_factors
 
         def split(n, k):
@@ -172,9 +190,19 @@ class TestBuildTable:
             a, b = factors.pop()
             return factors + [(a + ONE, b), (-ONE, b)]
 
+        assert expanded(split(n, k)) == entries(build_table(n, k))
+        expansions.clear()
         monkeypatch.setattr(ly, "_closed_factors", split)
-        assert ly._closed_factors(n, k) != ly._composed_factors(n, k)
-        assert ly.build_table(n, k).rows == expected
+        message = rf"^L\({n},{k}\): term {k}, coefficient of q\^0 differs: closed=1, composed=0$"
+        with pytest.raises(PathMismatchError, match=message):
+            ly.build_table(n, k)
+        assert expansions == []
+
+    def test_expands_the_closed_list_once_per_build(self, expansions):
+        for n, k in ((2, 0), (6, 1), (6, 2), (9, 2), (12, 3)):
+            build_table(n, k)
+            assert expansions == [ly._closed_factors(n, k)], (n, k)
+            expansions.clear()
 
     def test_invariant_violations_located(self):
         bad = LyubeznikTable(n=6, k=1, dim=9, rows={9: ((9,), [1]), 7: ((3,), [1])})
@@ -223,13 +251,11 @@ class TestBuildTable:
             ly.build_table(12, 3)
         monkeypatch.setattr(ly, "_MAX_WORK", 46)
         assert len(entries(ly.build_table(12, 3))) == 40
-        # a composed list one product longer is refused before it is expanded
+        # a composed list one product longer is a mismatch, not more work
         real = ly._composed_factors
         monkeypatch.setattr(ly, "_composed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
-        with pytest.raises(ValueError, match="needs 47 units of work"):
-            ly.build_table(12, 3)
-        monkeypatch.setattr(ly, "_MAX_WORK", 47)
-        with pytest.raises(PathMismatchError):
+        message = r"^L\(12,3\): term 4, coefficient of q\^0 differs: closed=0, composed=1$"
+        with pytest.raises(PathMismatchError, match=message):
             ly.build_table(12, 3)
 
 
@@ -333,8 +359,7 @@ class TestVerifyAll:
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "two_path_tables")
         assert suite["pass"] is False
-        assert "L(6,1)" in suite["error"]
-        assert "q^1*w^2" in suite["error"]
+        assert suite["error"] == "PathMismatchError: L(6,1): term 2, coefficient of q^1 differs: closed=1, composed=0"
         # the other suites still ran
         assert all(s["pass"] for s in report["suites"] if s["name"] != "two_path_tables")
 

@@ -112,25 +112,6 @@ class TestGaussianBinomial:
         assert max(g.terms()) == 24
 
 
-@pytest.mark.parametrize("a", range(15))
-def test_binomial_identities(a):
-    for b in range(a + 1):
-        g = gaussian_binomial(a, b)
-        # independent enumeration oracle
-        assert g == gaussian_binomial_oracle(a, b)
-        # symmetry
-        assert g == gaussian_binomial(a, a - b)
-        # palindromicity: q^(b(a-b)) g(1/q) = g
-        assert g.reverse(b * (a - b)) == g
-        # degree and positivity
-        exps = sorted(g.terms())
-        assert exps and exps[0] == 0 and exps[-1] == b * (a - b)
-        assert all(c > 0 for c in g.terms().values())
-        # Pascal recurrence
-        if a > b > 0:
-            assert g == gaussian_binomial(a - 1, b - 1) + QPoly.q(b) * gaussian_binomial(a - 1, b)
-
-
 def pascal_rows(a, b):
     """binom(a, b)_q by Pascal rows, the earlier kernel, kept as the reference:
     row j holds binom(j + r, j) for r = 0..a-b, and
