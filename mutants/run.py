@@ -3,14 +3,15 @@ tier-1 tests must detect.
 
     python3 mutants/run.py
 
-Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory.  The first run, the baseline, runs ``tests/test_acceptance.py`` plus
-every mutant's test file on the unmutated copy: a failure there would read as
-every mutant killed, so the script prints pytest's output and exits 1.  Then,
-for each mutant, it applies the replacement in a fresh copy (the replacement
-must match exactly once), runs ``tests/test_acceptance.py`` plus the mutant's
-test file with ``pytest -x`` and prints ``killed`` or ``survived``.  It exits 1
-on a survivor or a replacement that does not match exactly once.
+Each run copies ``src/``, ``tests/``, ``perfbench/`` (a test reads its
+``checks.py``) and ``pyproject.toml`` to a temporary directory.  The first
+run, the baseline, runs ``tests/test_acceptance.py`` plus every mutant's test
+file on the unmutated copy: a failure there would read as every mutant
+killed, so the script prints pytest's output and exits 1.  Then, for each
+mutant, it applies the replacement in a fresh copy (the replacement must match
+exactly once), runs ``tests/test_acceptance.py`` plus the mutant's test file
+with ``pytest -x`` and prints ``killed`` or ``survived``.  It exits 1 on a
+survivor or a replacement that does not match exactly once.
 """
 
 import os
@@ -39,6 +40,10 @@ MUTANTS = [
     ("kgroup.py", "gaussian_binomial(m - s - 1, k - s, power=4)", "gaussian_binomial(m - s, k - s, power=4)", "test_kgroup.py"),
     # the grading reversal about the wrong degree
     ("kgroup.py", "p.reverse(d)", "p.reverse(d + 4)", "test_kgroup.py"),
+    # the class's exponent step 1, not 2, at odd n: the odd routes disagree
+    ("kgroup.py", "(4 - 2 * (n % 2))", "(4 - 3 * (n % 2))", "test_kgroup.py"),
+    # the grade check expects one degree above the codimension: every class fails it
+    ("verify.py", "comb(n - 2 * k, 2)", "comb(n - 2 * k, 2) + 1", "test_kgroup.py"),
     # the binomial oracle enumerates a box one column short
     ("partitions.py", "_weakly_decreasing(a - b, 0, b)", "_weakly_decreasing(a - b, 0, b - 1)", "test_partitions.py"),
     # a shift of the pole-order origin local cohomology
@@ -81,7 +86,7 @@ def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subp
     with ``mutant`` (module, text, replacement) applied, or the replacement's
     match count if it does not match exactly once."""
     with tempfile.TemporaryDirectory() as tmp:
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         if mutant:

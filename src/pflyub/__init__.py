@@ -24,13 +24,7 @@ _HOME = {
         "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
         "ext_mult": ("ext_series_enum", "zset_rectangle", "zset_thickened"),
         "characters": ("in_D", "in_N", "in_pole", "verify_limitpfaff"),
-        "kgroup": (
-            "localcoh_class_even_D",
-            "localcoh_class_even_Q",
-            "localcoh_class_odd_D",
-            "q_to_d",
-            "reverse_class",
-        ),
+        "kgroup": ("localcoh_class", "localcoh_class_even_D", "q_to_d", "reverse_class"),
         "lyubeznik": ("LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
         "partitions": ("dominates", "gaussian_binomial", "gaussian_binomial_oracle"),

@@ -1,10 +1,12 @@
 """Grothendieck-group classes of local cohomology with Pfaffian support.
 
-A class is a tuple of m+1 q-polynomials, the coefficients of the basis
-modules: the indecomposables Q_0..Q_m coming from the pole order filtration
-(even ambient size only) or the simples D_0..D_m.  The function that builds a
-class names its basis.  Since [Q_p] = [D_0] + ... + [D_p], ``q_to_d``
-rewrites a Q-basis class in the D-basis by running sums.
+A class is a tuple of m+1 q-polynomials, m = floor(n/2), the coefficients of
+the basis modules.  ``localcoh_class`` uses the basis in which the local
+cohomology splits: for even n the indecomposables Q_0..Q_m coming from the
+pole order filtration, for odd n, where it is semisimple, the simples
+D_0..D_m.  ``localcoh_class_even_D`` gives an even class in the D-basis.
+Since [Q_p] = [D_0] + ... + [D_p], ``q_to_d`` rewrites a Q-basis class in the
+D-basis by running sums.
 
 Every class is that of the total local cohomology of the polynomial ring S
 with support in the rank <= 2k locus of n x n skew-symmetric matrices, in one
@@ -27,19 +29,23 @@ def q_to_d(c: tuple[QPoly, ...]) -> tuple[QPoly, ...]:
     return tuple(sum(c[s:], ZERO) for s in range(len(c)))
 
 
-def localcoh_class_even_Q(m: int, k: int) -> tuple[QPoly, ...]:
-    """The class for n = 2m even, in the Q-basis: coefficient of Q_p is
-    q^(C(n-2k,2) + 4(k-p)) * binom(m-p-2, k-p)_{q^4} for 0 <= k <= m-2, and
-    the hypersurface case k = m-1 is [Q_{m-1}] * q."""
+def localcoh_class(n: int, k: int) -> tuple[QPoly, ...]:
+    """The class for n x n matrices, one formula for both parities, in the
+    Q-basis for even n and the D-basis for odd n: with r = floor((n-1)/2), the
+    coefficient of the p-th module is
+    q^(C(n-2k,2) + (4 - 2(n mod 2))(k-p)) * binom(r-p-1, k-p)_{q^4}, and the
+    even hypersurface case k = n/2-1 is [Q_{m-1}] * q."""
+    m = n // 2
     if not 0 <= k <= m - 1:
-        raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
+        raise ValueError(f"require 0 <= k <= floor(n/2)-1, got k={k}, n={n}")
     coeffs = [ZERO] * (m + 1)
-    if k == m - 1:
+    if n % 2 == 0 and k == m - 1:
         # hypersurface case: the localization quotient sits in degree 1
         coeffs[m - 1] = QPoly.q(1)
     else:
+        r, codim = (n - 1) // 2, comb(n - 2 * k, 2)
         for p in range(k + 1):
-            coeffs[p] = QPoly.q(comb(2 * (m - k), 2) + 4 * (k - p)) * gaussian_binomial(m - p - 2, k - p, power=4)
+            coeffs[p] = QPoly.q(codim + (4 - 2 * (n % 2)) * (k - p)) * gaussian_binomial(r - p - 1, k - p, power=4)
     return tuple(coeffs)
 
 
@@ -53,17 +59,6 @@ def localcoh_class_even_D(m: int, k: int) -> tuple[QPoly, ...]:
     coeffs = [ZERO] * (m + 1)
     for s in range(k + 1):
         coeffs[s] = QPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
-    return tuple(coeffs)
-
-
-def localcoh_class_odd_D(m: int, k: int) -> tuple[QPoly, ...]:
-    """The class for n = 2m+1 odd, in the D-basis: coefficient of D_p is
-    q^(C(n-2k,2) + 2(k-p)) * binom(m-p-1, k-p)_{q^4}."""
-    if not 0 <= k <= m - 1:
-        raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
-    coeffs = [ZERO] * (m + 1)
-    for p in range(k + 1):
-        coeffs[p] = QPoly.q(comb(2 * (m - k) + 1, 2) + 2 * (k - p)) * gaussian_binomial(m - p - 1, k - p, power=4)
     return tuple(coeffs)
 
 

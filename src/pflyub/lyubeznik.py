@@ -31,7 +31,7 @@ from math import comb, gcd
 from operator import add
 
 from .errors import PathMismatchError, TableInvariantError
-from .kgroup import localcoh_class_even_Q, localcoh_class_odd_D, reverse_class
+from .kgroup import localcoh_class, reverse_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .partitions import gaussian_binomial
 from .polyring import ZERO, QPoly
@@ -178,8 +178,8 @@ def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     D_p for odd n), paired with the module's coefficient in the class of the
     local cohomology, regraded by w^j with j = C(n,2) - cohomological degree."""
     m = _check_nk(n, k)
-    cls, h = (localcoh_class_even_Q, h0_Q) if n % 2 == 0 else (localcoh_class_odd_D, h0_D_odd)
-    return [(h(m, p), coeff) for p, coeff in enumerate(reverse_class(cls(m, k), comb(n, 2))) if coeff]
+    h = h0_Q if n % 2 == 0 else h0_D_odd
+    return [(h(m, p), coeff) for p, coeff in enumerate(reverse_class(localcoh_class(n, k), comb(n, 2))) if coeff]
 
 
 def _strided(poly: QPoly) -> tuple[int, int, list[int], tuple[int, ...]]:

@@ -59,7 +59,7 @@ def test_criterion_03_two_path_equality(verify_report):
 
 
 def test_criterion_04_kgroup_identities(verify_report):
-    _read(4, "basis decomposition m <= 10 and grading reversal m <= 8", 5.0, verify_report, "kgroup_identities", 73)
+    _read(4, "basis decomposition m <= 10 and class grade m <= 8", 5.0, verify_report, "kgroup_identities", 73)
 
 
 def test_criterion_05_origin_splices(verify_report):
