@@ -436,6 +436,15 @@ class TestCli:
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == "ecf4660b57d978e75b0f7f5525c92220a4cfaf0072c438114652e6af6acf3472"
 
+    def test_table_bytes_match_the_pinned_digests(self):
+        # tests/table_digests.py --check covers every admitted table; tier-1 reads the lines for n <= 16
+        spec = importlib.util.spec_from_file_location("table_digests", Path(__file__).parent / "table_digests.py")
+        table_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(table_digests)
+        lines = table_digests.digest_lines(16)
+        assert len(lines) == 4 * 15
+        assert table_digests.first_moved(lines, table_digests.PINNED.read_text().splitlines()[: len(lines)]) is None
+
     def test_genfun_refuses_a_route_mismatch(self, capsys, monkeypatch):
         real = ly._closed_factors
         monkeypatch.setattr(
