@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "errors": ("PathMismatchError", "TableInvariantError", "VerificationError"),
+        "errors": ("TableInvariantError", "VerificationError"),
         "ext_mult": ("ext_series_enum", "zset_rectangle", "zset_thickened"),
         "characters": ("in_D", "in_N", "in_pole", "verify_limitpfaff"),
         "kgroup": ("localcoh_class", "localcoh_class_even_D", "q_to_d", "reverse_class"),

@@ -2,43 +2,35 @@
 
 The generating function L_k(q, w) = sum lambda_{i,j} q^i w^j collects the
 Lyubeznik numbers of the local ring at the cone point of the rank <= 2k locus
-of n x n skew-symmetric matrices.  Two independent routes give it as a sum of
-rank-one terms a_s(q) * b_s(w), one per basis module that occurs, each kept
-as its list of factor pairs (a_s, b_s) of q-polynomials, the q of b_s
-standing for w:
+of n x n skew-symmetric matrices.  ``_composed_factors`` gives it as a sum of
+rank-one terms a_s(q) * b_s(w), one per basis module that occurs, kept as its
+list of factor pairs (a_s, b_s) of q-polynomials, the q of b_s standing for w:
+it composes the Grothendieck-group class of the local cohomology, graded by
+cohomological degree and reversed so that w tracks j = C(n,2) - that degree,
+with the origin local cohomology of each basis module.
 
-* ``_closed_factors`` evaluates one closed formula in n for both parities
-  (with the even hypersurface case k = m-1 dispatched to (q*w)^(C(n,2)-1));
-* ``_composed_factors`` composes the Grothendieck-group class of the local
-  cohomology, graded by cohomological degree and reversed so that w tracks
-  j = C(n,2) - that degree, with the origin local cohomology of each basis
-  module.
-
-``build_table`` requires the two lists to be equal term by term, refusing
-at the first differing term before anything is expanded, and expands the
-closed list into the table's rows, the checked L_k.  It then checks the
-structural invariants: entries positive, 0 <= i <= j <= dim, the corner entry
-lambda_{dim,dim} = 1 where dim = C(n,2) - C(n-2k,2) = k(2n-2k-1) is the
-dimension of the rank <= 2k locus, and the Euler characteristic
+``build_table`` expands that list into the table's rows, the checked L_k, and
+checks the structural invariants: entries positive, 0 <= i <= j <= dim, the
+corner entry lambda_{dim,dim} = 1 where dim = C(n,2) - C(n-2k,2) = k(2n-2k-1)
+is the dimension of the rank <= 2k locus, and the Euler characteristic
 sum (-1)^(i-j) lambda_{i,j} = 1.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress, zip_longest
+from itertools import compress
 from math import comb, gcd
 from operator import add
 
-from .errors import PathMismatchError, TableInvariantError
+from .errors import TableInvariantError
 from .kgroup import localcoh_class, reverse_class
 from .origin_localcoh import h0_D_odd, h0_Q
-from .partitions import gaussian_binomial
-from .polyring import ZERO, QPoly
+from .polyring import QPoly
 
 # The most work build_table takes on: n // 2 for the n // 2 + 1 basis modules
-# of the composed route's class, plus one unit per term product of the
-# expansion.  The largest table with n <= 56 needs 143,688.
+# of the class, plus one unit per term product of the expansion.  The largest
+# table with n <= 56 needs 143,688.
 _MAX_WORK = 1_000_000
 
 # The most cells, zeros included, to_latex formats: occupied rows times
@@ -155,24 +147,6 @@ def _check_nk(n: int, k: int) -> int:
     return m
 
 
-def _closed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
-    """The closed formula, one for both parities: with r = floor((n-1)/2),
-    a_s = q^(s(2s+3-2(n mod 2))) binom(r, s)_{q^4} and
-    b_s = q^(k(2k+3) - 2s(2k-n+2)) binom(r-s-1, k-s)_{q^4} for s = 0..k; the
-    even hypersurface case k = n/2-1 is dispatched to (q*w)^(C(n,2)-1)."""
-    m = _check_nk(n, k)
-    q = QPoly.q
-    if n % 2 == 0 and k == m - 1:
-        corner = q(comb(n, 2) - 1)
-        return [(corner, corner)]
-    r, factors = (n - 1) // 2, []
-    for s in range(k + 1):
-        qpart = q(s * (2 * s + 3 - 2 * (n % 2))) * gaussian_binomial(r, s, power=4)
-        wpart = q(k * (2 * k + 3) - 2 * s * (2 * k - n + 2)) * gaussian_binomial(r - s - 1, k - s, power=4)
-        factors.append((qpart, wpart))
-    return factors
-
-
 def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     """The origin local cohomology h(p) of each basis module p (Q_p for even n,
     D_p for odd n), paired with the module's coefficient in the class of the
@@ -233,35 +207,32 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
     return rows
 
 
-def _check_work(n: int, k: int, factors: list[tuple[QPoly, QPoly]]) -> None:
-    """Refuse a table whose basis (n // 2 + 1 modules) or expansion (one term
-    product per pair of terms) is too large, before either is built."""
-    work = n // 2 + sum(len(a) * len(b) for a, b in factors)
+def _check_work(n: int, k: int) -> int:
+    """The work of table (n, k), refused past ``_MAX_WORK`` before any class is
+    built: m = n // 2 for the class of m + 1 basis modules, plus one term product
+    per pair of terms of a_s and b_s, whose Gaussian binomials have
+    s(r-s) + 1 and (k-s)(r-k-1) + 1 terms, r = floor((n-1)/2), summed over
+    s = 0..k (one product for the even hypersurface).  The sum, a cubic in s,
+    is taken by power sums, so that a table of any k is refused at once."""
+    m = _check_nk(n, k)
+    if n % 2 == 0 and k == m - 1:
+        work = m + 1
+    else:
+        r, s1, s2 = (n - 1) // 2, k * (k + 1) // 2, k * (k + 1) * (2 * k + 1) // 6
+        c = r - k - 1
+        b0 = c * k + 1  # (s(r-s) + 1) * (b0 - c*s) = b0 + (r*b0 - c)s - (r*c + b0)s^2 + c*s^3
+        work = m + b0 * (k + 1) + (r * b0 - c) * s1 - (r * c + b0) * s2 + c * s1 * s1
     if work > _MAX_WORK:
         raise ValueError(f"table({n},{k}) needs {work} units of work, above the limit {_MAX_WORK}")
+    return work
 
 
 def build_table(n: int, k: int) -> LyubeznikTable:
-    """Build the Lyubeznik table, insisting the two routes agree term by term.
-
-    The factor lists must be equal, so only the closed one is expanded.  Work
-    past ``_MAX_WORK`` is refused before the composed route runs, and a
-    mismatch before anything is expanded, naming the first differing term s,
-    its factor (q for a_s, w for b_s), the least exponent whose coefficients
-    differ, and both coefficients, a missing term being zero."""
-    closed = _closed_factors(n, k)
-    _check_work(n, k, closed)
-    composed = _composed_factors(n, k)
-    if closed != composed:
-        # neither route has a zero term, so lists that differ differ in a coefficient
-        for s, pair in enumerate(zip_longest(closed, composed, fillvalue=(ZERO, ZERO))):
-            for factor, mine, theirs in zip("qw", *pair):
-                if mine != theirs:
-                    mine, theirs = mine.terms(), theirs.terms()
-                    e = min(mine.items() ^ theirs.items())[0]
-                    raise PathMismatchError(n, k, s, factor, e, mine.get(e, 0), theirs.get(e, 0))
+    """Build the Lyubeznik table from the composed factor list and check its
+    invariants; work past ``_MAX_WORK`` is refused before any class is built."""
+    _check_work(n, k)
     dim = comb(n, 2) - comb(n - 2 * k, 2)
-    table = LyubeznikTable(n=n, k=k, dim=dim, rows=_expand(closed))
+    table = LyubeznikTable(n=n, k=k, dim=dim, rows=_expand(_composed_factors(n, k)))
     table.validate()
     return table
 

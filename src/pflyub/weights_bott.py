@@ -99,7 +99,7 @@ def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(h + t for h in heads for t in tails)
 
 
-def verify_pushforward(m: int, p: int, bound: int) -> None:
+def verify_pushforward(m: int, p: int, bound: int) -> int | None:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
     For every lambda in the bounded window of B(m-p, 2m), Bott's algorithm is
@@ -109,7 +109,8 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
     window at bound-2 (images of window-bounded sources shift entries by at
     most 1, so the shrunken window is guaranteed to be reached).
 
-    Raises VerificationError naming the offending weight on any failure.
+    Returns the degree the window landed in, None if no case survived, and
+    raises VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
@@ -117,6 +118,7 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
         raise ValueError(f"bound must be at least 2m = {2 * m}")
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    landed = None
     for lam in enumerate_B(m - p, 2 * m, bound):
         degree, weight = bott(dual(lam) + (0,))
         if degree is None:
@@ -125,7 +127,7 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
             )
-        image = dual(weight)
+        landed, image = degree, dual(weight)
         if not in_B(image, m - p, 2 * m + 1):
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"
@@ -137,3 +139,4 @@ def verify_pushforward(m: int, p: int, bound: int) -> None:
         missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
         if missing:
             raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
+    return landed

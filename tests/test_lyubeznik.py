@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import pflyub.lyubeznik as ly
 from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bott
 from pflyub.cli import main
-from pflyub.errors import PathMismatchError, TableInvariantError, VerificationError
+from pflyub.errors import TableInvariantError, VerificationError
 from pflyub.lyubeznik import LyubeznikTable, build_table, valid_k_range
+from pflyub.partitions import gaussian_binomial
 from pflyub.polyring import ONE, ZERO, QPoly
 from pflyub.verify import verify_all
 
@@ -22,11 +23,6 @@ from pflyub.verify import verify_all
 def _entries(rows):
     """Rows {i: (js, lams)} as {(i, j): lambda}."""
     return {(i, j): lam for i, (js, lams) in rows.items() for j, lam in zip(js, lams)}
-
-
-def expanded(factors):
-    """A route's factor list expanded to {(i, j): lambda}."""
-    return _entries(ly._expand(factors))
 
 
 def entries(table):
@@ -40,15 +36,18 @@ def _past_the_work_limit(*args):
 
 @pytest.fixture
 def stub_slow_suites(monkeypatch):
-    """stub_slow_suites() makes the Bott and character verifiers no-ops, for a
-    test that asserts nothing about their suites: each costs about 0.5 s a run,
-    and both run for real in the session ``verify_report``.  A verifier named in
-    ``keep`` stays real."""
+    """stub_slow_suites() makes the Bott and character verifiers no-ops (the
+    pushforward returning the degree it would land in), for a test that asserts
+    nothing about their suites: each costs about 0.5 s a run, and both run for
+    real in the session ``verify_report``.  A verifier named in ``keep`` stays real."""
 
     def stub(keep=()):
-        for module, name in ((weights_bott, "verify_pushforward"), (characters, "verify_limitpfaff")):
+        for module, name, fake in (
+            (weights_bott, "verify_pushforward", lambda m, p, bound: 2 * (m - p)),
+            (characters, "verify_limitpfaff", lambda *args: None),
+        ):
             if name not in keep:
-                monkeypatch.setattr(module, name, lambda *args: None)
+                monkeypatch.setattr(module, name, fake)
 
     return stub
 
@@ -67,12 +66,48 @@ def expansions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def corrupt_composed(monkeypatch):
+    """corrupt_composed(n, k) adds the term 1 * w^(dim+1) to the composed factor
+    list of table (n, k) alone: an entry past the last column."""
+
+    def corrupt(bad_n, bad_k):
+        real = ly._composed_factors
+        extra = [(ONE, QPoly.q(comb(bad_n, 2) - comb(bad_n - 2 * bad_k, 2) + 1))]
+
+        def corrupted(n, k):
+            return real(n, k) + (extra if (n, k) == (bad_n, bad_k) else [])
+
+        monkeypatch.setattr(ly, "_composed_factors", corrupted)
+
+    return corrupt
+
+
+def _closed_factors(n, k):
+    """The table's factor list from one closed formula for both parities: with
+    r = floor((n-1)/2), a_s = q^(s(2s+3-2(n mod 2))) binom(r, s)_{q^4} and
+    b_s = q^(k(2k+3) - 2s(2k-n+2)) binom(r-s-1, k-s)_{q^4} for s = 0..k; the
+    even hypersurface case k = n/2-1 is (q*w)^(C(n,2)-1)."""
+    q = QPoly.q
+    if n % 2 == 0 and k == n // 2 - 1:
+        return [(q(comb(n, 2) - 1), q(comb(n, 2) - 1))]
+    r = (n - 1) // 2
+    return [
+        (
+            q(s * (2 * s + 3 - 2 * (n % 2))) * gaussian_binomial(r, s, power=4),
+            q(k * (2 * k + 3) - 2 * s * (2 * k - n + 2)) * gaussian_binomial(r - s - 1, k - s, power=4),
+        )
+        for s in range(k + 1)
+    ]
+
+
 class TestComposedPath:
     def test_factor_lists_are_equal_for_every_admitted_table(self):
-        # so build_table expands one list for every table with n <= 56, the benchmark's among them
+        # the composed route, term by term, against the closed formula typed on its own,
+        # for every table with n <= 56, the benchmark's among them
         for n in range(2, 57):
             for k in valid_k_range(n):
-                assert ly._closed_factors(n, k) == ly._composed_factors(n, k), (n, k)
+                assert _closed_factors(n, k) == ly._composed_factors(n, k), (n, k)
 
 
 # q-polynomials for _expand: a_s with small exponents, so that rows collide, and
@@ -149,37 +184,10 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(7, -1)
 
-    def test_mismatch_refused(self, monkeypatch, expansions):
-        real = ly._closed_factors
-        monkeypatch.setattr(ly, "_closed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
-        with pytest.raises(PathMismatchError) as err:
-            ly.build_table(6, 1)
-        assert str(err.value) == "L(6,1): term 2, coefficient of q^0 differs: closed=1, composed=0"
-        assert expansions == []
-
-    @pytest.mark.parametrize("n,k", [(6, 1), (9, 2), (12, 3)])
-    def test_differing_factors_with_equal_expansions_are_refused(self, n, k, monkeypatch, expansions):
-        # split the last term a*b into (a + 1)*b - 1*b: the factor lists
-        # differ, the expansions do not, and a_k has no constant term
-        real = ly._closed_factors
-
-        def split(n, k):
-            factors = real(n, k)
-            a, b = factors.pop()
-            return factors + [(a + ONE, b), (-ONE, b)]
-
-        assert expanded(split(n, k)) == entries(build_table(n, k))
-        expansions.clear()
-        monkeypatch.setattr(ly, "_closed_factors", split)
-        message = rf"^L\({n},{k}\): term {k}, coefficient of q\^0 differs: closed=1, composed=0$"
-        with pytest.raises(PathMismatchError, match=message):
-            ly.build_table(n, k)
-        assert expansions == []
-
-    def test_expands_the_closed_list_once_per_build(self, expansions):
+    def test_expands_the_composed_list_once_per_build(self, expansions):
         for n, k in ((2, 0), (6, 1), (6, 2), (9, 2), (12, 3)):
             build_table(n, k)
-            assert expansions == [ly._closed_factors(n, k)], (n, k)
+            assert expansions == [ly._composed_factors(n, k)], (n, k)
             expansions.clear()
 
     def test_invariant_violations_located(self):
@@ -217,24 +225,23 @@ class TestBuildTable:
             return (coeffs[0] + 1,) + coeffs[1:] if (a, b) == (3, 1) else coeffs
 
         monkeypatch.setattr(partitions, "_gauss", broken)
-        assert ly._closed_factors(8, 1) == ly._composed_factors(8, 1)
+        assert _closed_factors(8, 1) == ly._composed_factors(8, 1)
         for n in (7, 8):
             with pytest.raises(TableInvariantError, match=rf"table\({n},1\): Euler characteristic is 2"):
                 ly.build_table(n, 1)
 
     def test_work_limit_is_exact_and_covers_the_composed_list(self, monkeypatch):
+        # _check_work counts, without building the composed list, n // 2 plus its term products
+        for n in range(2, 57):
+            for k in valid_k_range(n):
+                composed = ly._composed_factors(n, k)
+                assert ly._check_work(n, k) == n // 2 + sum(len(a) * len(b) for a, b in composed), (n, k)
         # build_table(12, 3) needs 12 // 2 + 40 term products = 46 units
         monkeypatch.setattr(ly, "_MAX_WORK", 45)
         with pytest.raises(ValueError, match=r"table\(12,3\) needs 46 units of work, above the limit 45"):
             ly.build_table(12, 3)
         monkeypatch.setattr(ly, "_MAX_WORK", 46)
         assert len(entries(ly.build_table(12, 3))) == 40
-        # a composed list one product longer is a mismatch, not more work
-        real = ly._composed_factors
-        monkeypatch.setattr(ly, "_composed_factors", lambda n, k: real(n, k) + [(ONE, ONE)])
-        message = r"^L\(12,3\): term 4, coefficient of q\^0 differs: closed=0, composed=1$"
-        with pytest.raises(PathMismatchError, match=message):
-            ly.build_table(12, 3)
 
 
 class TestEmitters:
@@ -317,22 +324,15 @@ class TestVerifyAll:
         names = [s["name"] for s in report["suites"]]
         assert "two_path_tables" in names
 
-    def test_corrupted_closed_form_is_located(self, monkeypatch, stub_slow_suites):
+    def test_corrupted_composed_route_is_located(self, corrupt_composed, stub_slow_suites):
         stub_slow_suites()
-        real = ly._closed_factors
-
-        def corrupted(n, k):
-            out = real(n, k)
-            if (n, k) == (6, 1):
-                out = out + [(QPoly.q(1), QPoly.q(2))]
-            return out
-
-        monkeypatch.setattr(ly, "_closed_factors", corrupted)
+        corrupt_composed(6, 1)
         report = verify_all(7)
         assert report["pass"] is False
         suite = next(s for s in report["suites"] if s["name"] == "two_path_tables")
         assert suite["pass"] is False
-        assert suite["error"] == "PathMismatchError: L(6,1): term 2, coefficient of q^1 differs: closed=1, composed=0"
+        assert suite["checked"] == 7  # the six tables with n <= 5, and (6, 0)
+        assert suite["error"] == "TableInvariantError: table(6,1) at (i,j)=(0, 10): index outside 0 <= i <= j <= 9"
         # the other suites still ran
         assert all(s["pass"] for s in report["suites"] if s["name"] != "two_path_tables")
 
@@ -445,15 +445,12 @@ class TestCli:
         assert len(lines) == 4 * 15
         assert table_digests.first_moved(lines, table_digests.PINNED.read_text().splitlines()[: len(lines)]) is None
 
-    def test_genfun_refuses_a_route_mismatch(self, capsys, monkeypatch):
-        real = ly._closed_factors
-        monkeypatch.setattr(
-            ly, "_closed_factors", lambda n, k: real(n, k) + ([(ONE, ONE)] if (n, k) == (4, 1) else [])
-        )
+    def test_genfun_refuses_a_broken_table(self, capsys, corrupt_composed):
+        corrupt_composed(4, 1)
         assert main(["genfun", "--n", "4", "--k", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "L(4,1)" in captured.err
+        assert captured.err == "verification failure: table(4,1) at (i,j)=(0, 6): index outside 0 <= i <= j <= 5\n"
 
     def test_localcoh(self, capsys):
         assert main(["localcoh", "--parity", "odd", "--m", "2", "--object", "D", "--index", "1"]) == 0
@@ -570,12 +567,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_verification_failure_exits_1(self, capsys, monkeypatch, stub_slow_suites):
+    def test_verification_failure_exits_1(self, capsys, corrupt_composed, stub_slow_suites):
         stub_slow_suites()
-        real = ly._closed_factors
-        monkeypatch.setattr(
-            ly, "_closed_factors", lambda n, k: real(n, k) + ([(ONE, ONE)] if (n, k) == (4, 1) else [])
-        )
+        corrupt_composed(4, 1)
         assert main(["verify", "--n-max", "4"]) == 1
         assert "two_path_tables: FAIL" in capsys.readouterr().out
 

@@ -63,7 +63,7 @@ class TestEnumerateB:
 
 class TestVerifyPushforward:
     def test_m1_p0_survivors(self):
-        assert verify_pushforward(1, 0, 6) is None
+        assert verify_pushforward(1, 0, 6) == 2
         # lambda = (t, t) for t = 1..6; only t >= 3 survives, in degree 2
         domain = enumerate_B(1, 2, 6)
         assert domain == tuple((t, t) for t in range(1, 7))
@@ -78,7 +78,7 @@ class TestVerifyPushforward:
             assert in_B(dual(weight), 1, 3)
 
     def test_m1_p1_dense_orbit_degree_zero(self):
-        assert verify_pushforward(1, 1, 6) is None
+        assert verify_pushforward(1, 1, 6) == 0
         assert {bott(dual(lam) + (0,))[0] for lam in enumerate_B(0, 2, 6)} == {0}
 
     def test_suite_windows(self):
