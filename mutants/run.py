@@ -27,15 +27,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # that tier-1 makes once, in the session verify report or in one test
 MUTANTS = [
     # the composed route regraded one degree too far: every entry moves one column right, past the corner
-    ("lyubeznik.py", "comb(n, 2))) if coeff]", "comb(n, 2) + 1)) if coeff]", "test_lyubeznik.py"),
+    ("lyubeznik.py", "coeff.reverse(comb(n, 2))", "coeff.reverse(comb(n, 2) + 1)", "test_lyubeznik.py"),
     # the table dimension off by one: the corner entry moves
     ("lyubeznik.py", "dim = comb(n, 2) - comb(n - 2 * k, 2)", "dim = comb(n, 2) - comb(n - 2 * k, 2) + 1", "test_lyubeznik.py"),
     # genfun terms lose the space after "c":
     ("lyubeznik.py", '"ew": %d, "c": %%d}', '"ew": %d, "c":%%d}', "test_lyubeznik.py"),
     # a binomial argument of the even D-class
     ("kgroup.py", "gaussian_binomial(m - s - 1, k - s, power=4)", "gaussian_binomial(m - s, k - s, power=4)", "test_kgroup.py"),
-    # the grading reversal about the wrong degree
-    ("kgroup.py", "p.reverse(d)", "p.reverse(d + 4)", "test_kgroup.py"),
+    # the grading reversal four degrees too far: i + j keeps its parity, so only the corner moves
+    ("lyubeznik.py", "coeff.reverse(comb(n, 2))", "coeff.reverse(comb(n, 2) + 4)", "test_lyubeznik.py"),
     # the class's exponent step 1, not 2, at odd n: the odd class is no longer the shifted even D-class
     ("kgroup.py", "(4 - 2 * (n % 2))", "(4 - 3 * (n % 2))", "test_kgroup.py"),
     # the class's exponent step 0 at odd n: every table passes validate; only the tie to the even D-class fails
@@ -54,6 +54,8 @@ MUTANTS = [
     ("origin_localcoh.py", "p * (2 * p + 3)", "p * (2 * p + 1)", "test_ext_mult.py"),
     # rectangle labels one level too high: they meet the next level's
     ("ext_mult.py", ", a - 1) for v in range(e + 1)", ", a) for v in range(e + 1)", "test_ext_mult.py"),
+    # the fractional-twist character's bound made strict (gt spelled inline, as characters.py imports only ge)
+    ("characters.py", "map(ge,", "map(lambda a, b: a > b,", "test_characters.py"),
     # the pole-order character's bound made strict
     ("characters.py", "mu[n - 1 - 2 * k] >= -2 * k", "mu[n - 1 - 2 * k] > -2 * k", "test_characters.py"),
     # the Gaussian product step multiplies by 1 - q^(c+i-1), not 1 - q^(c+i)

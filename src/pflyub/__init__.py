@@ -24,10 +24,10 @@ _HOME = {
         "errors": ("TableInvariantError", "VerificationError"),
         "ext_mult": ("ext_series_enum", "zset_rectangle", "zset_thickened"),
         "characters": ("in_D", "in_N", "in_pole", "verify_limitpfaff"),
-        "kgroup": ("localcoh_class", "localcoh_class_even_D", "q_to_d", "reverse_class"),
+        "kgroup": ("localcoh_class", "localcoh_class_even_D", "q_to_d"),
         "lyubeznik": ("LyubeznikTable", "build_table"),
         "origin_localcoh": ("h0_D_even", "h0_D_odd", "h0_pf_pole", "h0_Q"),
-        "partitions": ("dominates", "gaussian_binomial", "gaussian_binomial_oracle"),
+        "partitions": ("gaussian_binomial", "gaussian_binomial_oracle"),
         "polyring": ("QPoly",),
         "weights_bott": ("bott", "dual", "enumerate_B", "in_B", "verify_pushforward"),
         "verify": ("verify_all",),

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
+from operator import ge
 
 from .errors import VerificationError
-from .partitions import _doubled, _weakly_decreasing, dominates
+from .partitions import _doubled, _weakly_decreasing
 from .weights_bott import dual, in_B
 
 
@@ -65,7 +66,7 @@ def in_N(mu: tuple[int, ...], k: int, e: int, n: int) -> bool:
     twisted by Pf^(-e-2k)."""
     threshold = _threshold(k, e, n, len(mu))
     half = mu[0::2]
-    return half == mu[1::2] and dominates(half, threshold)
+    return half == mu[1::2] and all(map(ge, half, threshold))
 
 
 def in_pole(mu: tuple[int, ...], k: int, n: int) -> bool:

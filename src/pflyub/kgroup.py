@@ -13,7 +13,7 @@ with support in the rank <= 2k locus of n x n skew-symmetric matrices, in one
 grading: by cohomological degree q^j, so that its lowest degree is the
 codimension C(n-2k, 2) of the locus (the grade of its ideal, S being
 Cohen-Macaulay).  Each function that builds a class states its coefficients;
-``reverse_class`` turns q^j into the q^(C(n,2)-j) of the Lyubeznik tables.
+the Lyubeznik tables reverse each one, q^j into q^(C(n,2)-j).
 """
 
 from __future__ import annotations
@@ -60,8 +60,3 @@ def localcoh_class_even_D(m: int, k: int) -> tuple[QPoly, ...]:
     for s in range(k + 1):
         coeffs[s] = QPoly.q(shift) * gaussian_binomial(m - s - 1, k - s, power=4)
     return tuple(coeffs)
-
-
-def reverse_class(c: tuple[QPoly, ...], d: int) -> tuple[QPoly, ...]:
-    """Swap the grading q^j <-> q^(d-j) by reversing every basis coefficient."""
-    return tuple(p.reverse(d) for p in c)

@@ -24,7 +24,7 @@ from math import comb, gcd
 from operator import add
 
 from .errors import TableInvariantError
-from .kgroup import localcoh_class, reverse_class
+from .kgroup import localcoh_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .polyring import QPoly
 
@@ -138,22 +138,13 @@ class LyubeznikTable:
         return "\n".join(lines) + "\n"
 
 
-def _check_nk(n: int, k: int) -> int:
-    if n < 2:
-        raise ValueError(f"require n >= 2, got n={n}")
-    m = n // 2
-    if not 0 <= k <= m - 1:
-        raise ValueError(f"require 0 <= k <= floor(n/2)-1, got k={k}, n={n}")
-    return m
-
-
 def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     """The origin local cohomology h(p) of each basis module p (Q_p for even n,
     D_p for odd n), paired with the module's coefficient in the class of the
     local cohomology, regraded by w^j with j = C(n,2) - cohomological degree."""
-    m = _check_nk(n, k)
+    m = n // 2
     h = h0_Q if n % 2 == 0 else h0_D_odd
-    return [(h(m, p), coeff) for p, coeff in enumerate(reverse_class(localcoh_class(n, k), comb(n, 2))) if coeff]
+    return [(h(m, p), coeff.reverse(comb(n, 2))) for p, coeff in enumerate(localcoh_class(n, k)) if coeff]
 
 
 def _strided(poly: QPoly) -> tuple[int, int, list[int], tuple[int, ...]]:
@@ -208,13 +199,18 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
 
 
 def _check_work(n: int, k: int) -> int:
-    """The work of table (n, k), refused past ``_MAX_WORK`` before any class is
-    built: m = n // 2 for the class of m + 1 basis modules, plus one term product
-    per pair of terms of a_s and b_s, whose Gaussian binomials have
-    s(r-s) + 1 and (k-s)(r-k-1) + 1 terms, r = floor((n-1)/2), summed over
-    s = 0..k (one product for the even hypersurface).  The sum, a cubic in s,
-    is taken by power sums, so that a table of any k is refused at once."""
-    m = _check_nk(n, k)
+    """The work of table (n, k), for n >= 2 and 0 <= k <= n // 2 - 1, refused
+    past ``_MAX_WORK`` before any class is built: m = n // 2 for the class of
+    m + 1 basis modules, plus one term product per pair of terms of a_s and
+    b_s, whose Gaussian binomials have s(r-s) + 1 and (k-s)(r-k-1) + 1 terms,
+    r = floor((n-1)/2), summed over s = 0..k (one product for the even
+    hypersurface).  The sum, a cubic in s, is taken by power sums, so that a
+    table of any k is refused at once."""
+    if n < 2:
+        raise ValueError(f"require n >= 2, got n={n}")
+    m = n // 2
+    if not 0 <= k <= m - 1:
+        raise ValueError(f"require 0 <= k <= floor(n/2)-1, got k={k}, n={n}")
     if n % 2 == 0 and k == m - 1:
         work = m + 1
     else:

@@ -19,17 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement
-from operator import ge, sub
-from typing import Iterator, Sequence
+from operator import sub
+from typing import Iterator
 
 from .polyring import QPoly, _raw
-
-
-def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise a >= b for sequences of equal ambient length."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(map(ge, a, b))
 
 
 def _weakly_decreasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from pflyub.kgroup import localcoh_class, localcoh_class_even_D, q_to_d, reverse_class
+from pflyub.kgroup import localcoh_class, localcoh_class_even_D, q_to_d
 from pflyub.polyring import ZERO, QPoly
 
 
@@ -61,7 +61,7 @@ class TestLocalCohClasses:
     def test_odd_reversed_m2_k1(self):
         c = localcoh_class(5, 1)
         assert c == (q(5), q(3), ZERO)
-        assert reverse_class(c, comb(5, 2)) == (q(5), q(7), ZERO)
+        assert [p.reverse(comb(5, 2)) for p in c if p] == [q(5), q(7)]
 
     def test_odd_diagonal_prefactor(self):
         # the p = k coefficient carries binom(r-k-1, 0) = 1 and sits in the codimension
@@ -98,16 +98,6 @@ class TestLocalCohClasses:
             for k in range(n // 2):
                 lowest = [min(poly.terms()) for poly in localcoh_class(n, k) if poly]
                 assert min(lowest) == comb(n - 2 * k, 2), (n, k)
-
-
-class TestReverseClass:
-    def test_involution(self):
-        c = localcoh_class(8, 2)
-        assert reverse_class(reverse_class(c, 9), 9) == c
-
-    def test_monomial_shift(self):
-        c = qclass(4, p0=q(7))
-        assert reverse_class(c, 7)[0] == q(0)
 
 
 class TestGradingReversalIdentity:

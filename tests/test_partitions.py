@@ -8,7 +8,6 @@ from pflyub.partitions import (
     _doubled,
     _gauss,
     _weakly_decreasing,
-    dominates,
     gaussian_binomial,
     gaussian_binomial_oracle,
 )
@@ -42,17 +41,6 @@ class TestEnumerateBox:
 
     def test_negative_lower_bound(self):
         assert list(_weakly_decreasing(2, -1, 1)) == [(1, 1), (1, 0), (1, -1), (0, 0), (0, -1), (-1, -1)]
-
-
-class TestDominates:
-    def test_examples(self):
-        assert dominates((2, 1), (1, 1))
-        assert not dominates((2, 0), (1, 1))
-        assert dominates((3, 2), (3, 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates((2, 1), (1, 1, 0))
 
 
 def test_double_columns():
