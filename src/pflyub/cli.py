@@ -80,10 +80,9 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)
-        if parsed is None:
-            sys.stdout.write(__doc__)
-            return 0
-        return _dispatch(*parsed)
+        code, text = (0, __doc__) if parsed is None else _dispatch(*parsed)
+        _write(text)
+        return code
     except (ValueError, OverflowError) as exc:  # OverflowError: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -113,20 +112,19 @@ def _write(text: str) -> None:
 
 # Each command imports the modules it runs inside its branch, so start-up
 # loads only those (``verify`` loads every module).
-def _dispatch(command: str, opts: dict) -> int:
-    if command == "lyubeznik":
+def _dispatch(command: str, opts: dict) -> tuple[int, str]:
+    """(exit code, stdout text) of ``command``; ``main`` writes the text."""
+    if command in ("lyubeznik", "genfun"):
         from .lyubeznik import build_table
 
         table = build_table(opts["n"], opts["k"])
-        emit = {"json": lambda: table.to_json() + "\n", "csv": table.to_csv, "latex": table.to_latex}
-        _write(emit[opts["format"]]())
-        return 0
-
-    if command == "genfun":
-        from .lyubeznik import build_table
-
-        _write(build_table(opts["n"], opts["k"]).to_genfun_json() + "\n")
-        return 0
+        emit = {
+            "json": lambda: table.to_json() + "\n",
+            "csv": table.to_csv,
+            "latex": table.to_latex,
+            "genfun": lambda: table.to_genfun_json() + "\n",
+        }
+        return 0, emit[opts.get("format", "genfun")]()
 
     if command == "localcoh":
         from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
@@ -140,21 +138,18 @@ def _dispatch(command: str, opts: dict) -> int:
         }
         if key not in table:
             raise ValueError(f"no {opts['object']} family on the {opts['parity']} side")
-        print(table[key](opts["m"], opts["index"]).to_json())
-        return 0
+        return 0, table[key](opts["m"], opts["index"]).to_json() + "\n"
 
     if command == "gaussian":
         from .partitions import gaussian_binomial
 
-        print(gaussian_binomial(opts["a"], opts["b"], opts["power"]).to_json())
-        return 0
+        return 0, gaussian_binomial(opts["a"], opts["b"], opts["power"]).to_json() + "\n"
 
     if command == "bott":
         from .weights_bott import bott
 
         degree, weight = bott([int(part) for part in opts["gamma"].split(",")])
-        print("zero" if degree is None else f"degree {degree}, weight {','.join(map(str, weight))}")
-        return 0
+        return 0, "zero\n" if degree is None else f"degree {degree}, weight {','.join(map(str, weight))}\n"
 
     # verify, the one command left
     import json
@@ -162,14 +157,14 @@ def _dispatch(command: str, opts: dict) -> int:
     from .verify import verify_all
 
     report = verify_all(opts["n-max"])
+    lines = []
     for suite in report["suites"]:
         status = "PASS" if suite["pass"] else "FAIL"
         line = f"{suite['name']}: {status} ({suite['checked']} checks)"
         if suite["error"]:
             line += f" -- {suite['error']}"
-        print(line)
-    print(json.dumps(report))
-    return 0 if report["pass"] else 1
+        lines.append(line + "\n")
+    return (0 if report["pass"] else 1), "".join(lines) + json.dumps(report) + "\n"
 
 
 if __name__ == "__main__":

@@ -1,9 +1,7 @@
 import contextlib
-import hashlib
 import importlib.util
 import io
 import json
-from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -357,21 +355,26 @@ class TestVerifyAll:
 
 
 class TestCli:
-    def test_table_bytes_match_the_pinned_digests(self):
-        # tests/table_digests.py --check covers every admitted table; tier-1 reads the lines for n <= 16
-        spec = importlib.util.spec_from_file_location("table_digests", Path(__file__).parent / "table_digests.py")
-        table_digests = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(table_digests)
-        lines = table_digests.digest_lines(16)
-        assert len(lines) == 4 * 15
-        pinned = table_digests.PINNED.read_text().splitlines()[: len(lines)]
-        assert table_digests.first_moved(lines, pinned) is None
-        # the first moved line is reported as its pinned line, which names the format and n
+    def test_table_bytes_match_the_pinned_digests(self, monkeypatch, verify_report):
+        # tests/output_digests.py --check covers every admitted table; tier-1 reads the table lines
+        # for n <= 16 and every family line, the verify line from the session report
+        spec = importlib.util.spec_from_file_location("output_digests", Path(__file__).parent / "output_digests.py")
+        output_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(output_digests)
+        monkeypatch.setattr(verify, "verify_all", lambda n_max: verify_report)
+        lines = output_digests.digest_lines(16)
+        assert len(lines) == 4 * 15 + 4
+        pinned = output_digests.PINNED.read_text().splitlines()
+        pinned = pinned[: 4 * 15] + pinned[-4:]
+        assert output_digests.first_moved(lines, pinned) is None
+        # the first moved line is reported as its pinned line, which names the format and n, or the family
         moved = lines[:]
-        moved[9] = moved[40] = "0" * 64
-        assert table_digests.first_moved(moved, pinned) == pinned[9]
+        moved[9] = moved[40] = moved[-2] = "0" * 64
+        assert output_digests.first_moved(moved, pinned) == pinned[9]
         assert pinned[9].endswith("  genfun n=4")
-        assert table_digests.first_moved(lines[:-1], pinned) == "60 lines pinned, 59 computed"
+        assert output_digests.first_moved(lines[:-2] + moved[-2:], pinned) == pinned[-2]
+        assert pinned[-2].endswith("  bott [-2,2]^4")
+        assert output_digests.first_moved(lines[:-1], pinned) == "64 lines pinned, 63 computed"
 
     def test_genfun_refuses_a_broken_table(self, capsys, corrupt_composed):
         corrupt_composed(4, 1)
@@ -569,40 +572,6 @@ class TestCli:
         monkeypatch.setattr(verify, "build_table", lambda n, k: built.append((n, k)))
         assert verify_all(56)["pass"] is True
         assert built == [(n, k) for n in range(2, 57) for k in valid_k_range(n)]
-
-    @staticmethod
-    def cli_digest(capsys, commands):
-        digest = hashlib.sha256()
-        for argv in commands:
-            assert main(argv) == 0, argv
-            digest.update(capsys.readouterr().out.encode())
-        return digest.hexdigest()
-
-    def test_gaussian_bytes(self, capsys):
-        commands = [
-            ["gaussian", "--a", str(a), "--b", str(b), "--power", str(power)]
-            for a in range(21)
-            for b in range(a + 1)
-            for power in (1, 4)
-        ]
-        assert len(commands) == 462
-        assert self.cli_digest(capsys, commands) == "de833ae22d17deb862b7f1451f85ecde4e9d42d62948b67c1c052abc10b1cd24"
-
-    def test_localcoh_bytes(self, capsys):
-        families = (("even", "Q", 0), ("even", "D", 1), ("even", "pfpole", 0), ("odd", "D", 1))
-        commands = [
-            ["localcoh", "--parity", parity, "--m", str(m), "--object", obj, "--index", str(index)]
-            for m in range(1, 9)
-            for parity, obj, extra in families
-            for index in range(m + extra)
-        ]
-        assert len(commands) == 160
-        assert self.cli_digest(capsys, commands) == "006bb5322ec11e9af3ef40bf42e1102267b5f2c5812d0849faed7030dc44ec42"
-
-    def test_bott_bytes(self, capsys):
-        commands = [["bott", "--gamma=" + ",".join(map(str, gamma))] for gamma in product(range(-2, 3), repeat=4)]
-        assert len(commands) == 625
-        assert self.cli_digest(capsys, commands) == "11d90e1c61bd3e7dd8a48bc71f3ad86a8b8129138d389edf20a7f004b9b297e7"
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))

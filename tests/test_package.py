@@ -60,18 +60,25 @@ def test_verify_runs_without_dataclasses():
 
 
 def test_closed_stdout_exits_141_with_nothing_on_stderr():
-    # 0.8-2.2 MB in each format: the table fills the pipe long before the reader leaves; an
-    # unbuffered stdout writes it in one call, which the pipe takes only part of
-    heads = {"json": b'{"n": 52, ', "csv": b"i,j,lambda", "latex": b"\\begin{tab"}
+    # 0.7-2.2 MB each: a table in each format, and one polynomial; the output fills the pipe long
+    # before the reader leaves; an unbuffered stdout writes it in one call, which the pipe takes
+    # only part of
+    table = ["lyubeznik", "--n", "52", "--k", "20", "--format"]
+    cases = [
+        (table + ["json"], b'{"n": 52, '),
+        (table + ["csv"], b"i,j,lambda"),
+        (table + ["latex"], b"\\begin{tab"),
+        (["gaussian", "--a", "200", "--b", "100", "--power", "4"], b'[{"eq": 0,'),
+    ]
     base = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    for unbuffered, (fmt, head) in itertools.product(({}, {"PYTHONUNBUFFERED": "1"}), heads.items()):
-        argv = [sys.executable, "-m", "pflyub.cli", "lyubeznik", "--n", "52", "--k", "20", "--format", fmt]
+    for unbuffered, (args, head) in itertools.product(({}, {"PYTHONUNBUFFERED": "1"}), cases):
+        argv = [sys.executable, "-m", "pflyub.cli", *args]
         env = dict(base, PYTHONPATH=SRC, **unbuffered)
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-            assert proc.stdout.read(10) == head, (fmt, unbuffered)
+            assert proc.stdout.read(10) == head, (args, unbuffered)
             proc.stdout.close()
-            assert proc.stderr.read() == b"", (fmt, unbuffered)
-            assert proc.wait(timeout=120) == 141, (fmt, unbuffered)
+            assert proc.stderr.read() == b"", (args, unbuffered)
+            assert proc.wait(timeout=120) == 141, (args, unbuffered)
 
 
 def test_bare_import_loads_no_submodule():
