@@ -54,6 +54,8 @@ MUTANTS = [
     ("origin_localcoh.py", "p * (2 * p + 3)", "p * (2 * p + 1)", "test_ext_mult.py"),
     # rectangle labels one level too high: they meet the next level's
     ("ext_mult.py", ", a - 1) for v in range(e + 1)", ", a) for v in range(e + 1)", "test_ext_mult.py"),
+    # thickened labels one cap too high: they leave the rectangle at cap e, only the sharp inclusion fails
+    ("ext_mult.py", "for v in range(1, e + 1)", "for v in range(1, e + 2)", "test_ext_mult.py"),
     # the fractional-twist character's bound made strict (gt spelled inline, as characters.py imports only ge)
     ("characters.py", "map(ge,", "map(lambda a, b: a > b,", "test_characters.py"),
     # the pole-order character's bound made strict

@@ -87,7 +87,6 @@ def in_D(mu: tuple[int, ...], s: int, n: int) -> bool:
     return in_B(dual(mu), m - s, n)
 
 
-@lru_cache(maxsize=16)
 def paired_window(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """All paired dominant weights of length 2m with entries in [-bound, bound]."""
     return tuple(map(_doubled, _weakly_decreasing(m, -bound, bound)))

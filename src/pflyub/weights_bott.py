@@ -118,7 +118,6 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
         raise ValueError(f"bound must be at least 2m = {2 * m}")
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    landed = None
     for lam in enumerate_B(m - p, 2 * m, bound):
         degree, weight = bott(dual(lam) + (0,))
         if degree is None:
@@ -127,7 +126,7 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
             )
-        landed, image = degree, dual(weight)
+        image = dual(weight)
         if not in_B(image, m - p, 2 * m + 1):
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"
@@ -139,4 +138,4 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
         missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
         if missing:
             raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
-    return landed
+    return expected_degree if images else None

@@ -55,7 +55,7 @@ def test_criterion_02_hypersurface_case():
 
 
 def test_criterion_03_two_path_equality(verify_report):
-    _read(3, "two-path equality n <= 13", 10.0, verify_report, "two_path_tables", 42)
+    _read(3, "every table built and validated n <= 13", 10.0, verify_report, "two_path_tables", 42)
 
 
 def test_criterion_04_kgroup_identities(verify_report):

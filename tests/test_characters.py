@@ -49,17 +49,6 @@ class TestPfPole:
         ]
         assert sets[0] < sets[1] < sets[2]
 
-    def test_consecutive_differences_are_simple_characters(self):
-        m = 3
-        window = paired_window(m, 5)
-        sets = [
-            {mu for mu in window if in_pole(mu, k, 2 * m)} for k in range(m)
-        ]
-        for s in range(1, m):
-            diff = sets[s] - sets[s - 1]
-            simple = {mu for mu in window if in_D(mu, m - s, 2 * m)}
-            assert diff == simple
-
     def test_odd_parity_rejected(self):
         with pytest.raises(ValueError):
             in_pole((0,) * 5, 0, 5)
@@ -77,26 +66,13 @@ class TestSimpleD:
 
 
 class TestVerifyLimitPfaff:
-    def test_k0_is_trivial_case(self):
-        assert verify_limitpfaff(2, 0, 4) is None
-
     def test_m2_k1(self, monkeypatch):
         import pflyub.characters as ch
 
-        assert verify_limitpfaff(2, 1, 6) is None
         # no N_(k,e) reaches a pole-order weight: the witness bound 2 * bound + 4m is named
         monkeypatch.setattr(ch, "in_N", lambda mu, k, e, n: False)
         with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 20$"):
             ch.verify_limitpfaff(2, 1, 6)
-
-    def test_window_is_built_once_per_m_and_bound(self):
-        window = paired_window(3, 6)
-        assert isinstance(window, tuple) and len(window) == 455
-        assert paired_window(3, 6) is window
-        built = paired_window.cache_info().misses
-        for k in range(3):
-            assert verify_limitpfaff(3, k, 6) is None
-        assert paired_window.cache_info().misses == built
 
     def test_bad_range(self):
         with pytest.raises(ValueError):

@@ -85,13 +85,3 @@ class TestZSets:
             if p == 3:
                 continue
             assert len(x) == 4 and x[-1] >= 1
-
-    def test_inclusion(self):
-        for m in range(1, 6):
-            for k in range(1, m):
-                a = m - k
-                for e in range(5):
-                    thick = zset_thickened(m, a, e) - {((0,) * m, m - 1)}
-                    assert thick <= zset_rectangle(m, a, e + 1)
-                    # the sharp form: the same cap already suffices
-                    assert thick <= zset_rectangle(m, a, e)

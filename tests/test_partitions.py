@@ -83,7 +83,6 @@ class TestGaussianBinomial:
         assert gaussian_binomial_oracle(2, 1) == ONE + QPoly.q(1)
         for a in range(6):
             assert gaussian_binomial_oracle(a, 0) == ONE
-        assert gaussian_binomial_oracle(5, 2) == gaussian_binomial(5, 2)
 
     def test_oracle_shares_no_code_with_the_binomial(self, monkeypatch):
         import pflyub.partitions as pt

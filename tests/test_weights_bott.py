@@ -64,6 +64,8 @@ class TestEnumerateB:
 class TestVerifyPushforward:
     def test_m1_p0_survivors(self):
         assert verify_pushforward(1, 0, 6) == 2
+        # at bound 2 the window is (1, 1), (2, 2), and neither survives
+        assert verify_pushforward(1, 0, 2) is None
         # lambda = (t, t) for t = 1..6; only t >= 3 survives, in degree 2
         domain = enumerate_B(1, 2, 6)
         assert domain == tuple((t, t) for t in range(1, 7))
