@@ -28,15 +28,9 @@ from .kgroup import localcoh_class
 from .origin_localcoh import h0_D_odd, h0_Q
 from .polyring import QPoly
 
-# The most work build_table takes on: n // 2 for the n // 2 + 1 basis modules
-# of the class, plus one unit per term product of the expansion.  The largest
-# table with n <= 56 needs 143,688.
-_MAX_WORK = 1_000_000
-
-# The most cells, zeros included, to_latex formats: occupied rows times
-# occupied columns, which _MAX_WORK does not bound.  The largest table with
-# n <= 56 has 376,110, at (55, 17).
-_MAX_CELLS = 2_000_000
+# The largest n build_table takes: verify --n-max 56 builds, and
+# tests/outputs.sha256 pins, every table up to it, and no check covers more.
+_N_MAX = 56
 
 
 class LyubeznikTable:
@@ -116,12 +110,8 @@ class LyubeznikTable:
 
     def to_latex(self) -> str:
         """A tabular with one row per occupied i, one column per occupied j
-        (labels range over [0, dim]; empty rows/columns are omitted), refused
-        past ``_MAX_CELLS`` rows times columns before any cell is formatted."""
+        (labels range over [0, dim]; empty rows/columns are omitted)."""
         cols = sorted(set().union(*[js for js, _ in self.rows.values()]))
-        cells = len(self.rows) * len(cols)
-        if cells > _MAX_CELLS:
-            raise ValueError(f"table({self.n},{self.k}) has {cells} LaTeX cells, above the limit {_MAX_CELLS}")
         lines = [r"\begin{tabular}{r|" + "c" * len(cols) + "}"]
         lines.append(
             " & ".join([r"$i \backslash j$"] + [f"${j}$" for j in cols]) + r" \\ \hline"
@@ -198,37 +188,15 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
     return rows
 
 
-def _check_work(n: int, k: int) -> int:
-    """The work of table (n, k), for n >= 2 and 0 <= k <= n // 2 - 1, refused
-    past ``_MAX_WORK`` before any class is built: m = n // 2 for the class of
-    m + 1 basis modules, plus one term product per pair of terms of a_s and
-    b_s, whose Gaussian binomials have s(r-s) + 1 and (k-s)(r-k-1) + 1 terms,
-    r = floor((n-1)/2), summed over s = 0..k (one product for the even
-    hypersurface).  The sum, a cubic in s, is taken by power sums, so that a
-    table of any k is refused at once."""
-    if n < 2:
-        raise ValueError(f"require n >= 2, got n={n}")
-    m = n // 2
-    if not 0 <= k <= m - 1:
-        raise ValueError(f"require 0 <= k <= floor(n/2)-1, got k={k}, n={n}")
-    if n % 2 == 0 and k == m - 1:
-        work = m + 1
-    else:
-        r, s1, s2 = (n - 1) // 2, k * (k + 1) // 2, k * (k + 1) * (2 * k + 1) // 6
-        c = r - k - 1
-        b0 = c * k + 1  # (s(r-s) + 1) * (b0 - c*s) = b0 + (r*b0 - c)s - (r*c + b0)s^2 + c*s^3
-        work = m + b0 * (k + 1) + (r * b0 - c) * s1 - (r * c + b0) * s2 + c * s1 * s1
-    if work > _MAX_WORK:
-        raise ValueError(f"table({n},{k}) needs {work} units of work, above the limit {_MAX_WORK}")
-    return work
-
-
 def build_table(n: int, k: int) -> LyubeznikTable:
     """Build the Lyubeznik table from the composed factor list and check its
-    invariants; work past ``_MAX_WORK`` is refused before any class is built."""
-    _check_work(n, k)
+    invariants; n outside 2..``_N_MAX`` is refused before any class is built,
+    and k outside 0..floor(n/2)-1 by ``localcoh_class``."""
+    if not 2 <= n <= _N_MAX:
+        raise ValueError(f"require 2 <= n <= {_N_MAX}, got n={n}")
+    rows = _expand(_composed_factors(n, k))
     dim = comb(n, 2) - comb(n - 2 * k, 2)
-    table = LyubeznikTable(n=n, k=k, dim=dim, rows=_expand(_composed_factors(n, k)))
+    table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
     table.validate()
     return table
 

@@ -13,15 +13,10 @@ from time import perf_counter
 from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
 from .kgroup import localcoh_class, localcoh_class_even_D, q_to_d
-from .lyubeznik import build_table, valid_k_range
+from .lyubeznik import _N_MAX, build_table, valid_k_range
 from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import QPoly
-
-# The largest n_max verify_all takes, so that its work is bounded before any
-# suite starts: every table with n <= 56 is within lyubeznik._MAX_WORK (the
-# largest needs 143,688 units), and all of them build in seconds.
-_N_MAX = 56
 
 
 def _suite(name: str, checks) -> dict:
@@ -160,7 +155,7 @@ def _character_checks(m_max: int, bound: int):
 
 def verify_all(n_max: int) -> dict:
     """Run every verification suite; the tables cover 2 <= n <= n_max, with
-    n_max at most 56, and the module property suites run at their standard
+    n_max at most ``_N_MAX``, and the module property suites run at their standard
     ranges.  Returns a structured report; a suite stops at its first failure,
     the others still run."""
     if n_max < 2:

@@ -3,9 +3,10 @@
     python3 tests/output_digests.py --check   # recompute every line; exit 1 if one moved
     python3 tests/output_digests.py --write   # rewrite the file from the current program
 
-The file has one line per format and n, 2 <= n <= 56: the sha256 of the
-stdout of ``pflyub lyubeznik --format json|csv|latex`` or ``pflyub genfun``
-for every k at that n, in ascending k, run in-process through ``cli.main``.
+The file has one line per format and n, for every n that ``build_table``
+takes, 2 <= n <= ``lyubeznik._N_MAX`` (56): the sha256 of the stdout of
+``pflyub lyubeznik --format json|csv|latex`` or ``pflyub genfun`` for every k
+at that n, in ascending k, run in-process through ``cli.main``.
 Four lines follow, each the sha256 of the stdout of one family of commands,
 run the same way: ``gaussian`` for every B <= A <= 20 at power 1 and 4,
 ``localcoh`` for every family and index with 1 <= m <= 8, ``bott`` for every
@@ -31,7 +32,6 @@ import pflyub.cli  # noqa: E402
 import pflyub.lyubeznik  # noqa: E402
 
 PINNED = ROOT / "tests" / "outputs.sha256"
-N_MAX = 56
 COMMANDS = {
     "json": ["lyubeznik", "--format", "json"],
     "genfun": ["genfun"],
@@ -65,7 +65,7 @@ def _stdout(argv: list[str]) -> bytes:
     return buffer.getvalue().encode()
 
 
-def digest_lines(n_max: int = N_MAX) -> list[str]:
+def digest_lines(n_max: int = pflyub.lyubeznik._N_MAX) -> list[str]:
     """The table lines of the pinned file for 2 <= n <= n_max, then every
     family line, in file order."""
     lines = []

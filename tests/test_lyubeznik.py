@@ -28,8 +28,8 @@ def entries(table):
     return _entries(table.rows)
 
 
-def _past_the_work_limit(*args):
-    raise AssertionError("called past the work limit")
+def _past_the_limit(*args):
+    raise AssertionError("called past a size limit")
 
 
 @pytest.fixture
@@ -167,12 +167,14 @@ class TestBuildTable:
         assert entries(table) == {(0, 5): 1, (3, 7): 1, (7, 7): 1}
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            build_table(1, 0)
-        with pytest.raises(ValueError):
-            build_table(6, 3)
-        with pytest.raises(ValueError):
-            build_table(7, -1)
+        for n in (1, 57):
+            with pytest.raises(ValueError, match=rf"^require 2 <= n <= 56, got n={n}$"):
+                build_table(n, 0)
+        for n, k in ((6, 3), (7, -1)):
+            with pytest.raises(ValueError, match=rf"^require 0 <= k <= floor\(n/2\)-1, got k={k}, n={n}$"):
+                build_table(n, k)
+        # the bound is inclusive: the even hypersurface at n = 56 is one entry at its corner
+        assert build_table(56, 27).rows == {1539: ((1539,), [1])}
 
     def test_expands_the_composed_list_once_per_build(self, expansions):
         for n, k in ((2, 0), (6, 1), (6, 2), (9, 2), (12, 3)):
@@ -219,19 +221,6 @@ class TestBuildTable:
         for n in (7, 8):
             with pytest.raises(TableInvariantError, match=rf"table\({n},1\): Euler characteristic is 2"):
                 ly.build_table(n, 1)
-
-    def test_work_limit_is_exact_and_covers_the_composed_list(self, monkeypatch):
-        # _check_work counts, without building the composed list, n // 2 plus its term products
-        for n in range(2, 57):
-            for k in valid_k_range(n):
-                composed = ly._composed_factors(n, k)
-                assert ly._check_work(n, k) == n // 2 + sum(len(a) * len(b) for a, b in composed), (n, k)
-        # build_table(12, 3) needs 12 // 2 + 40 term products = 46 units
-        monkeypatch.setattr(ly, "_MAX_WORK", 45)
-        with pytest.raises(ValueError, match=r"table\(12,3\) needs 46 units of work, above the limit 45"):
-            ly.build_table(12, 3)
-        monkeypatch.setattr(ly, "_MAX_WORK", 46)
-        assert len(entries(ly.build_table(12, 3))) == 40
 
 
 class TestEmitters:
@@ -524,44 +513,26 @@ class TestCli:
         monkeypatch.setattr(partitions, "_gauss", unbounded)
         with pytest.raises(ValueError, match="above the limit"):
             partitions.gaussian_binomial(201, 100)
-        for argv in (["gaussian", "--a", "201", "--b", "100"], ["lyubeznik", "--n", "1000000000", "--k", "1"]):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["gaussian", "--a", "201", "--b", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         for b in ("0", "1000000000"):
             assert main(["gaussian", "--a", "1000000000", "--b", b]) == 0
             assert json.loads(capsys.readouterr().out) == [{"eq": 0, "ew": 0, "c": 1}]
 
-    def test_table_work_limit_refuses_before_any_class(self, capsys, monkeypatch):
+    def test_table_size_limit_refuses_before_any_class(self, capsys, monkeypatch):
         for module in (kgroup, ly):
-            monkeypatch.setattr(module, "localcoh_class", _past_the_work_limit)
-        monkeypatch.setattr(ly, "_expand", _past_the_work_limit)
-        # every binomial of k = 0 has degree 0, and k = m-1 at even n is one monomial
-        for argv in (["lyubeznik", "--n", "1000000000", "--k", "0"], ["genfun", "--n", "2000004", "--k", "1000001"]):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "above the limit 1000000" in err
-
-    def test_latex_cell_limit_refuses_before_formatting(self, capsys, monkeypatch):
-        # about 30,000 units of work, but 10,001 rows by 10,000 columns of cells
-        assert main(["lyubeznik", "--n", "20001", "--k", "1", "--format", "latex"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: table(20001,1) has 100010000 LaTeX cells, above the limit 2000000\n"
-        # the largest table with n <= 56 is within the limit
-        assert main(["lyubeznik", "--n", "55", "--k", "17", "--format", "latex"]) == 0
-        assert capsys.readouterr().out.count("\n") == 2 + len(build_table(55, 17).rows) + 1
-        # the limit is inclusive: table (6, 1) has 3 rows by 2 columns of cells
-        monkeypatch.setattr(ly, "_MAX_CELLS", 6)
-        assert build_table(6, 1).to_latex().startswith(r"\begin{tabular}{r|cc}")
-        monkeypatch.setattr(ly, "_MAX_CELLS", 5)
-        with pytest.raises(ValueError, match=r"^table\(6,1\) has 6 LaTeX cells, above the limit 5$"):
-            build_table(6, 1).to_latex()
+            monkeypatch.setattr(module, "localcoh_class", _past_the_limit)
+        monkeypatch.setattr(ly, "_expand", _past_the_limit)
+        for command, n, k in (("lyubeznik", 57, 0), ("genfun", 2000004, 1000001)):
+            assert main([command, "--n", str(n), "--k", str(k)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: require 2 <= n <= 56, got n={n}\n"
 
     def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch, stub_slow_suites):
         stub_slow_suites()
-        monkeypatch.setattr(verify, "build_table", _past_the_work_limit)
+        monkeypatch.setattr(verify, "build_table", _past_the_limit)
         for n_max in ("57", str(10**12)):
             assert main(["verify", "--n-max", n_max]) == 2
             captured = capsys.readouterr()
@@ -617,12 +588,12 @@ def test_cli_answers_or_refuses_in_one_line(argv):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.sampled_from(["lyubeznik", "genfun"]), st.integers(2_000_004, 10**12))
+@given(st.sampled_from(["lyubeznik", "genfun"]), st.integers(57, 10**12))
 def test_cli_refuses_huge_tables_before_any_class(command, n):
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         for name in ("localcoh_class", "_expand"):
-            patch.setattr(ly, name, _past_the_work_limit)
+            patch.setattr(ly, name, _past_the_limit)
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
             code = main([command, f"--n={n}", "--k=0"])
     assert code == 2
