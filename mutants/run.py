@@ -3,11 +3,11 @@ tier-1 tests must detect.
 
     python3 mutants/run.py
 
-Each run copies ``src/``, ``tests/``, ``perfbench/`` (a test reads its
-``checks.py``) and ``pyproject.toml`` to a temporary directory.  The first
-run, the baseline, runs ``tests/test_acceptance.py`` plus every mutant's test
-file on the unmutated copy: a failure there would read as every mutant
-killed, so the script prints pytest's output and exits 1.  Then, for each
+Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory.  The first run, the baseline, runs ``tests/test_acceptance.py``
+plus every mutant's test file on the unmutated copy: a failure there would
+read as every mutant killed, so the script prints pytest's output and exits
+1.  Then, for each
 mutant, it applies the replacement in a fresh copy (the replacement must match
 exactly once), runs ``tests/test_acceptance.py`` plus the mutant's test file
 with ``pytest -x`` and prints ``killed`` or ``survived``.  It exits 1 on a
@@ -84,6 +84,8 @@ MUTANTS = [
     ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
     # the pole-order quotient no longer removes the next pole order: the limits fail
     ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1, n))", "quotient = pole", "test_characters.py"),
+    # stdout not flushed: a small buffered output to a closed reader fails at the exit flush, which exits 120
+    ("cli.py", "stream.flush()", "pass", "test_package.py"),
 ]
 
 
@@ -92,7 +94,7 @@ def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subp
     with ``mutant`` (module, text, replacement) applied, or the replacement's
     match count if it does not match exactly once."""
     with tempfile.TemporaryDirectory() as tmp:
-        for part in ("src", "tests", "perfbench"):
+        for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         if mutant:

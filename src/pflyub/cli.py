@@ -90,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader left; 128 + SIGPIPE, as a shell reports it
-        # point fd 1 at /dev/null, so that the exit flush of stdout cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception as exc:  # a bug: neither a bad argument nor a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -99,15 +97,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(text: str) -> None:
-    """Write all of ``text`` to stdout's binary layer, if it has one, until it
-    takes the last byte or raises (BrokenPipeError once the reader has left):
-    an unbuffered stdout may take part of a write that its text layer drops."""
+    """Write all of ``text`` to stdout's binary layer, if it has one, and flush
+    it, until it takes the last byte or raises (BrokenPipeError once the reader
+    has left, OSError on a full disk): an unbuffered stdout may take part of a
+    write that its text layer drops, and a buffered one holds a small output
+    until it is flushed."""
     sys.stdout.flush()
     stream, data = getattr(sys.stdout, "buffer", None), memoryview(text.encode())
     if stream is None:  # a text-only stdout, such as a StringIO
         stream, data = sys.stdout, text
-    while data:
-        data = data[stream.write(data) :]
+    try:
+        while data:
+            data = data[stream.write(data) :]
+        stream.flush()
+    except OSError:
+        # point fd 1 at /dev/null, so that the exit flush of stdout cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 # Each command imports the modules it runs inside its branch, so start-up

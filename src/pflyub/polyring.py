@@ -161,5 +161,3 @@ def _raw(data: dict[int, int]) -> QPoly:
 
 
 ZERO = QPoly()
-ONE = QPoly.const(1)
-Q = QPoly.q()

@@ -59,6 +59,17 @@ def test_verify_runs_without_dataclasses():
     assert "dataclasses" not in loaded
 
 
+# small outputs, under the buffer size: a buffered stdout holds them until the command flushes
+SMALL_OUTPUTS = [["gaussian", "--a", "4", "--b", "2"], ["bott", "--gamma=-1,-1,0"]]
+# stdout buffered (the default) and unbuffered
+BUFFERING = [{}, {"PYTHONUNBUFFERED": "1"}]
+
+
+def cli_env(unbuffered):
+    base = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return dict(base, PYTHONPATH=SRC, **unbuffered)
+
+
 def test_closed_stdout_exits_141_with_nothing_on_stderr():
     # 0.7-2.2 MB each: a table in each format, and one polynomial; the output fills the pipe long
     # before the reader leaves; an unbuffered stdout writes it in one call, which the pipe takes
@@ -70,15 +81,31 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr():
         (table + ["latex"], b"\\begin{tab"),
         (["gaussian", "--a", "200", "--b", "100", "--power", "4"], b'[{"eq": 0,'),
     ]
-    base = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    for unbuffered, (args, head) in itertools.product(({}, {"PYTHONUNBUFFERED": "1"}), cases):
+    for unbuffered, (args, head) in itertools.product(BUFFERING, cases):
         argv = [sys.executable, "-m", "pflyub.cli", *args]
-        env = dict(base, PYTHONPATH=SRC, **unbuffered)
-        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(argv, env=cli_env(unbuffered), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.read(10) == head, (args, unbuffered)
             proc.stdout.close()
             assert proc.stderr.read() == b"", (args, unbuffered)
             assert proc.wait(timeout=120) == 141, (args, unbuffered)
+    # the small outputs, with the reader gone before the command starts
+    for unbuffered, args in itertools.product(BUFFERING, SMALL_OUTPUTS):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as stdout:
+            argv = [sys.executable, "-m", "pflyub.cli", *args]
+            proc = subprocess.run(argv, env=cli_env(unbuffered), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+        assert (proc.returncode, proc.stderr) == (141, b""), (args, unbuffered)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_3_in_one_line():
+    for unbuffered, args in itertools.product(BUFFERING, SMALL_OUTPUTS):
+        with open("/dev/full", "wb") as stdout:
+            argv = [sys.executable, "-m", "pflyub.cli", *args]
+            proc = subprocess.run(argv, env=cli_env(unbuffered), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 3, (args, unbuffered, proc.stderr)
+        assert proc.stderr == b"internal error: OSError: [Errno 28] No space left on device\n", (args, unbuffered)
 
 
 def test_bare_import_loads_no_submodule():
@@ -173,6 +200,7 @@ UNREACHED_METHODS = [
     "polyring.QPoly.__repr__",  # the text pytest shows for a failure
     "polyring.QPoly.__rsub__",  # read by name in perfbench/spans.py
     "polyring.QPoly.__sub__",  # read by name in perfbench/spans.py
+    "polyring.QPoly.const",  # turns an int operand into a QPoly, and starts __pow__; no command enters either
 ]
 
 

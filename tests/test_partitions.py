@@ -11,7 +11,7 @@ from pflyub.partitions import (
     gaussian_binomial,
     gaussian_binomial_oracle,
 )
-from pflyub.polyring import ONE, QPoly
+from pflyub.polyring import QPoly
 
 
 def box(c, d):
@@ -52,14 +52,14 @@ def test_double_columns():
 class TestGaussianBinomial:
     def test_conventions(self):
         for a in range(8):
-            assert gaussian_binomial(a, a) == ONE
-            assert gaussian_binomial(a, 0) == ONE
+            assert gaussian_binomial(a, a) == QPoly.const(1)
+            assert gaussian_binomial(a, 0) == QPoly.const(1)
 
     def test_small_values(self):
         q = QPoly.q
-        assert gaussian_binomial(2, 1) == ONE + q(1)
+        assert gaussian_binomial(2, 1) == QPoly.const(1) + q(1)
         # partitions in a 2x2 box, by size: 1, 1, 2, 1, 1
-        assert gaussian_binomial(4, 2) == ONE + q(1) + 2 * q(2) + q(3) + q(4)
+        assert gaussian_binomial(4, 2) == QPoly.const(1) + q(1) + 2 * q(2) + q(3) + q(4)
 
     def test_equals_the_checked_constructor(self):
         # the result wraps the kernel's coefficients without the QPoly checks
@@ -80,9 +80,9 @@ class TestGaussianBinomial:
             gaussian_binomial(3, -1)
 
     def test_oracle_small(self):
-        assert gaussian_binomial_oracle(2, 1) == ONE + QPoly.q(1)
+        assert gaussian_binomial_oracle(2, 1) == QPoly.const(1) + QPoly.q(1)
         for a in range(6):
-            assert gaussian_binomial_oracle(a, 0) == ONE
+            assert gaussian_binomial_oracle(a, 0) == QPoly.const(1)
 
     def test_oracle_shares_no_code_with_the_binomial(self, monkeypatch):
         import pflyub.partitions as pt

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from pflyub.polyring import ONE, Q, ZERO, QPoly
+from pflyub.polyring import ZERO, QPoly
 
 
 def poly(d):
@@ -11,7 +11,8 @@ def poly(d):
 
 
 def test_add_cancellation():
-    assert (ONE + Q) + (ONE - Q) == QPoly.const(2)
+    one, q = QPoly.const(1), QPoly.q()
+    assert (one + q) + (one - q) == QPoly.const(2)
 
 
 def test_add_identity():
@@ -27,29 +28,24 @@ def test_add_disjoint_support():
 
 
 def test_mul_difference_of_squares():
-    assert (ONE + Q) * (ONE - Q) == ONE - Q ** 2
+    one, q = QPoly.const(1), QPoly.q()
+    assert (one + q) * (one - q) == one - q ** 2
 
 
 def test_mul_laurent_inverse_monomial():
-    assert QPoly.q(-1) * Q == ONE
+    assert QPoly.q(-1) * QPoly.q() == QPoly.const(1)
 
 
 def test_mul_square():
-    p = ONE + QPoly.q(4)
+    p = QPoly.const(1) + QPoly.q(4)
     assert p * p == poly({0: 1, 4: 2, 8: 1})
 
 
 def test_reverse():
-    assert (Q ** 2 + Q ** 5).reverse(5) == ONE + Q ** 3
-    assert ONE.reverse(7) == Q ** 7
-    assert ONE.reverse(-3) == QPoly.q(-3)
-
-
-def test_coeff():
-    p = QPoly.q(-5) + Q ** 9
-    assert p.terms().get(9, 0) == 1
-    assert p.terms().get(1, 0) == 0
-    assert (3 * Q ** 2).terms().get(2, 0) == 3
+    one, q = QPoly.const(1), QPoly.q()
+    assert (q ** 2 + q ** 5).reverse(5) == one + q ** 3
+    assert one.reverse(7) == q ** 7
+    assert one.reverse(-3) == QPoly.q(-3)
 
 
 def test_zero_coefficients_never_stored():
@@ -57,11 +53,6 @@ def test_zero_coefficients_never_stored():
     assert p.terms() == {2: 5}
     assert (p - p).terms() == {}
     assert not (p - p)
-
-
-def test_display_order_and_str():
-    p = poly({1: -1, 0: 2, 2: 3, -1: 1})
-    assert sorted(p.terms()) == [-1, 0, 1, 2]
 
 
 def test_serialization_roundtrip():
@@ -100,17 +91,17 @@ def test_exponent_pair_keys_rejected():
 
 def test_rsub_non_integer_is_not_implemented():
     with pytest.raises(TypeError, match="'float' and 'QPoly'"):
-        1.5 - Q
-    assert 3 - Q == QPoly.const(3) - Q
+        1.5 - QPoly.q()
+    assert 3 - QPoly.q() == QPoly.const(3) - QPoly.q()
 
 
 def test_constants_hash_like_their_ints():
     for c in (-2, -1, 0, 1, 7):
         assert QPoly.const(c) == c
         assert hash(QPoly.const(c)) == hash(c)
-    assert len({ONE, 1}) == 1
+    assert len({QPoly.const(1), 1}) == 1
     assert len({ZERO, 0}) == 1
-    assert hash(Q) == hash(QPoly.q(1))
+    assert hash(QPoly.q()) == hash(QPoly.q(1))
 
 
 small_polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5).map(QPoly)
