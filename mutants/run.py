@@ -44,6 +44,8 @@ MUTANTS = [
     ("kgroup.py", "gaussian_binomial(r - p - 1, k - p, power=4)", "gaussian_binomial(r - p - 1, k - p, power=4 - 2 * (n % 2))", "test_kgroup.py"),
     # the grade check expects one degree above the codimension: every even class fails it
     ("verify.py", "comb(2 * m - 2 * k, 2)", "comb(2 * m - 2 * k, 2) + 1", "test_kgroup.py"),
+    # the grade and odd-tie checks stop one m early: the suite makes 66 checks, not 73
+    ("verify.py", "if m > m_max_grade:", "if m >= m_max_grade:", "test_kgroup.py"),
     # the binomial oracle enumerates a box one column short
     ("partitions.py", "_weakly_decreasing(a - b, 0, b)", "_weakly_decreasing(a - b, 0, b - 1)", "test_partitions.py"),
     # a shift of the pole-order origin local cohomology

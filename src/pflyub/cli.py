@@ -154,7 +154,11 @@ def _dispatch(command: str, opts: dict) -> tuple[int, str]:
     if command == "bott":
         from .weights_bott import bott
 
-        degree, weight = bott([int(part) for part in opts["gamma"].split(",")])
+        try:
+            gamma = [int(part) for part in opts["gamma"].split(",")]
+        except ValueError:
+            raise ValueError(f"bott: --gamma: invalid int list {opts['gamma']!r}") from None
+        degree, weight = bott(gamma)
         return 0, "zero\n" if degree is None else f"degree {degree}, weight {','.join(map(str, weight))}\n"
 
     # verify, the one command left

@@ -199,9 +199,3 @@ def build_table(n: int, k: int) -> LyubeznikTable:
     table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
     table.validate()
     return table
-
-
-def valid_k_range(n: int) -> range:
-    """The k for which the rank <= 2k locus is a proper subvariety with a
-    well-defined table: 0 <= k <= floor(n/2) - 1."""
-    return range(n // 2)

@@ -13,7 +13,7 @@ from time import perf_counter
 from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
 from .kgroup import localcoh_class, localcoh_class_even_D, q_to_d
-from .lyubeznik import _N_MAX, build_table, valid_k_range
+from .lyubeznik import _N_MAX, build_table
 from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import QPoly
@@ -41,7 +41,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _table_checks(n_max: int):
     for n in range(2, n_max + 1):
-        for k in valid_k_range(n):
+        for k in range(n // 2):
             build_table(n, k)
             yield
 
@@ -67,17 +67,14 @@ def _gaussian_checks(a_max: int):
 def _kgroup_checks(m_max: int, m_max_grade: int):
     for m in range(2, m_max + 1):
         for k in range(m - 1):
-            _require(
-                q_to_d(localcoh_class(2 * m, k)) == localcoh_class_even_D(m, k),
-                f"Q-to-D decomposition fails at (m={m}, k={k})",
-            )
+            even_Q, even_D = localcoh_class(2 * m, k), localcoh_class_even_D(m, k)
+            _require(q_to_d(even_Q) == even_D, f"Q-to-D decomposition fails at (m={m}, k={k})")
             yield
-    for m in range(2, m_max_grade + 1):
-        for k in range(m - 1):
+            if m > m_max_grade:
+                continue
             # each even class starts in the grade of the ideal of the rank <= 2k locus,
             # its codimension C(2m-2k, 2), S being Cohen-Macaulay
-            even_D = localcoh_class_even_D(m, k)
-            for basis, cls in (("Q", localcoh_class(2 * m, k)), ("D", even_D)):
+            for basis, cls in (("Q", even_Q), ("D", even_D)):
                 lowest, codim = min(min(poly.terms()) for poly in cls if poly), comb(2 * m - 2 * k, 2)
                 _require(lowest == codim, f"{basis}-class grade at (n={2 * m}, k={k}) is {lowest}, not {codim}")
             # an identity between two closed forms: the odd class is the even
@@ -158,10 +155,8 @@ def verify_all(n_max: int) -> dict:
     n_max at most ``_N_MAX``, and the module property suites run at their standard
     ranges.  Returns a structured report; a suite stops at its first failure,
     the others still run."""
-    if n_max < 2:
-        raise ValueError(f"require n_max >= 2, got {n_max}")
-    if n_max > _N_MAX:
-        raise ValueError(f"n_max {n_max} is above the limit {_N_MAX}")
+    if not 2 <= n_max <= _N_MAX:
+        raise ValueError(f"require 2 <= n_max <= {_N_MAX}, got n_max={n_max}")
     suites = [
         # the table suite keeps its old name: the benchmark's checks look it up by name
         _suite("two_path_tables", _table_checks(n_max)),
