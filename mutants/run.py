@@ -74,6 +74,8 @@ MUTANTS = [
     ("weights_bott.py", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s)]", "[_doubled(t) for t in _weakly_decreasing(m - s, -bound, 2 * s - 1)]", "test_weights_bott.py"),
     # the even heads left in descending order: the window is out of order
     ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
+    # Bott's algorithm on (lambda, 0), the 0 on the wrong side: (1, 1, 0) is dominant and lands in degree 0, not 2
+    ("weights_bott.py", "bott((0,) + lam)", "bott(lam + (0,))", "test_weights_bott.py"),
     # validate lets a zero entry through
     ("lyubeznik.py", "if min(lams) <= 0:", "if min(lams) < 0:", "test_lyubeznik.py"),
     # validate checks i against the last column only: an entry below the diagonal passes

@@ -152,17 +152,19 @@ def _character_checks(m_max: int, bound: int):
 
 def verify_all(n_max: int) -> dict:
     """Run every verification suite; the tables cover 2 <= n <= n_max, with
-    n_max at most ``_N_MAX``, and the module property suites run at their standard
-    ranges.  Returns a structured report; a suite stops at its first failure,
-    the others still run."""
+    n_max at most ``_N_MAX``; the class and splice suites run to
+    m = max(their standard bound, n_max // 2), the other module property suites
+    at their standard ranges.  Returns a structured report; a suite stops at its
+    first failure, the others still run."""
     if not 2 <= n_max <= _N_MAX:
         raise ValueError(f"require 2 <= n_max <= {_N_MAX}, got n_max={n_max}")
+    m_max = n_max // 2
     suites = [
         # the table suite keeps its old name: the benchmark's checks look it up by name
         _suite("two_path_tables", _table_checks(n_max)),
         _suite("gaussian_binomials", _gaussian_checks(14)),
-        _suite("kgroup_identities", _kgroup_checks(10, 8)),
-        _suite("origin_splices", _origin_checks(10)),
+        _suite("kgroup_identities", _kgroup_checks(max(10, m_max), max(8, m_max))),
+        _suite("origin_splices", _origin_checks(max(10, m_max))),
         _suite("ext_series", _ext_checks(7)),
         _suite("bott_pushforward", _bott_checks(4)),
         _suite("character_limits", _character_checks(3, 6)),

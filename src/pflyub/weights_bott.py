@@ -103,8 +103,11 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
     For every lambda in the bounded window of B(m-p, 2m), Bott's algorithm is
-    applied to (dual(lambda), 0) in length 2m+1.  Every non-vanishing case must
-    land in degree exactly 2m-2p with dual image weight in B(m-p, 2m+1); the
+    applied to (0, lambda) in length 2m+1, the dual of the paper's
+    (dual(lambda), 0).  As dual(gamma) + rho = (n-1, ..., n-1) minus the
+    reversal of gamma + rho, Bott's algorithm commutes with dual: the degree is
+    the paper's, and the weight is the image itself.  Every non-vanishing case
+    must land in degree exactly 2m-2p with image in B(m-p, 2m+1); the
     assignment must be injective, and it must cover the entire B(m-p, 2m+1)
     window at bound-2 (images of window-bounded sources shift entries by at
     most 1, so the shrunken window is guaranteed to be reached).
@@ -119,14 +122,13 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lam in enumerate_B(m - p, 2 * m, bound):
-        degree, weight = bott(dual(lam) + (0,))
+        degree, image = bott((0,) + lam)
         if degree is None:
             continue
         if degree != expected_degree:
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
             )
-        image = dual(weight)
         if not in_B(image, m - p, 2 * m + 1):
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"

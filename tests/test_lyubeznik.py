@@ -509,8 +509,12 @@ class TestCli:
         # 56 is accepted: every table with n <= 56 is requested once
         built = []
         monkeypatch.setattr(verify, "build_table", lambda n, k: built.append((n, k)))
-        assert verify_all(56)["pass"] is True
+        report = verify_all(56)
+        assert report["pass"] is True
         assert built == [(n, k) for n in range(2, 57) for k in range(n // 2)]
+        # the class and splice suites follow n_max, to every admitted m <= 28
+        checked = {s["name"]: s["checked"] for s in report["suites"]}
+        assert (checked["kgroup_identities"], checked["origin_splices"]) == (756, 784)
 
 
 _N_K = st.builds(lambda n, k: [f"--n={n}", f"--k={k}"], st.integers(-2, 24), st.integers(-2, 13))

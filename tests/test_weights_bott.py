@@ -37,6 +37,16 @@ class TestDual:
         w = (4, 0, -1, -5)
         assert dual(dual(w)) == w
 
+    def test_bott_commutes_with_dual(self):
+        # dual(gamma) + rho = (n-1, ..., n-1) - reversed(gamma + rho): the same
+        # inversions, and the dual weight; verify_pushforward runs on (0, lambda),
+        # the dual of the paper's (dual(lambda), 0), and rests on this
+        for n in range(1, 6):
+            for gamma in product(range(-3, 4), repeat=n):
+                degree, weight = bott(gamma)
+                expected = (None, None) if degree is None else (degree, dual(weight))
+                assert bott(dual(gamma)) == expected
+
 
 class TestEnumerateB:
     def test_predicate_matches_enumeration(self):
@@ -121,11 +131,11 @@ class TestVerifyPushforward:
         real_bott = wb.bott
 
         def corrupted(gamma):
-            # raise the last entry's negation, i.e. the image's first entry, by one
+            # raise the image's first entry by one
             degree, weight = real_bott(gamma)
             if not degree:
                 return degree, weight
-            return degree, weight[:-1] + (weight[-1] - 1,)
+            return degree, (weight[0] + 1,) + weight[1:]
 
         monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(
