@@ -63,7 +63,8 @@ def gaussian_binomial(a: int, b: int, power: int = 1) -> QPoly:
     return _raw(dict(zip(range(0, power * len(coeffs), power), coeffs)))
 
 
-@lru_cache(maxsize=None)
+# bounded for long-lived callers; verify --n-max 56 makes 433 distinct calls
+@lru_cache(maxsize=1024)
 def _gauss(a: int, b: int) -> tuple[int, ...]:
     """Coefficients of binom(a, b)_q, constant term first.
 

@@ -5,8 +5,8 @@ A weight is a plain tuple of integers; a dominant weight is weakly decreasing.
 Bott's algorithm, for a length-n integer sequence gamma and rho = (n-1, ..., 1, 0):
 if gamma + rho has a repeated entry the cohomology vanishes; otherwise the
 unique nonvanishing degree is the number of inversions of gamma + rho (the
-minimal transposition count needed to sort it, since the entries are distinct),
-and the resulting dominant weight is sort_desc(gamma + rho) - rho.
+minimal number of adjacent transpositions that sort it, the entries being
+distinct), and the resulting dominant weight is sort_desc(gamma + rho) - rho.
 
 The sets B(s, n) are the dominant-weight supports of the simple equivariant
 D-modules on skew-symmetric matrices:
@@ -39,7 +39,7 @@ def bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, None
     v = list(map(add, gamma, rho))
     if len(set(v)) < n:
         return None, None
-    # entries are distinct, so inversion count = minimal transposition count;
+    # entries are distinct, so inversion count = minimal adjacent-transposition count;
     # scanning from the right, each entry is inverted with every larger one seen
     seen: list[int] = []
     inversions = 0

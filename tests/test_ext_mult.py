@@ -43,22 +43,29 @@ class TestSeries:
         assert ext_series_enum(4, 2, 3) == ext_series_enum(4, 2, 300)
 
     def test_argument_gates(self):
-        with pytest.raises(ValueError):
-            ext_series_enum(3, 0, 5)
-        with pytest.raises(ValueError):
-            ext_series_enum(3, 4, 99)
-        with pytest.raises(ValueError):
-            ext_series_enum(3, 2, 2)  # b < 2a-1
+        # one check of a for the series and both Z-sets, each message pinned
+        for f, args, message in (
+            (ext_series_enum, (3, 0, 5), "require 1 <= a <= m, got a=0, m=3"),
+            (ext_series_enum, (3, 4, 99), "require 1 <= a <= m, got a=4, m=3"),
+            (ext_series_enum, (3, 2, 2), "require b >= 2a-1 = 3, got b=2"),
+            (zset_rectangle, (3, 0, 1), "require 1 <= a <= m, got a=0, m=3"),
+            (zset_thickened, (3, 4, 1), "require 1 <= a <= m, got a=4, m=3"),
+            (zset_rectangle, (3, 2, -1), "require e >= 0, got e=-1"),
+            (zset_thickened, (3, 2, -1), "require e >= 0, got e=-1"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                f(*args)
+            assert str(caught.value) == message
 
     def test_coefficients_count_box_partitions_by_size(self):
-        m, a = 5, 3
-        series = ext_series_enum(m, a, 2 * a)
-        # partitions with at most m - a parts, each at most a - 1, by brute force
-        boxed = (x for x in product(range(a), repeat=m - a) if list(x) == sorted(x, reverse=True))
-        sizes = Counter(map(sum, boxed))
-        base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
-        for size, count in sizes.items():
-            assert series.terms().get(base - 4 * size, 0) == count
+        # partitions with at most m - a parts, each at most a - 1, by brute force:
+        # an enumeration of the box independent of the oracle the series regrades
+        for m in range(1, 10):
+            for a in range(1, m + 1):
+                boxed = (x for x in product(range(a), repeat=m - a) if list(x) == sorted(x, reverse=True))
+                base = comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1)
+                expected = QPoly(Counter(base - 4 * size for size in map(sum, boxed)))
+                assert ext_series_enum(m, a, 2 * a - 1) == expected, (m, a)
 
 
 class TestZSets:

@@ -132,6 +132,13 @@ class TestGaussKernel:
         assert coeffs == coeffs[::-1]
         assert sum(coeffs) == comb(a, b)
 
+    def test_cache_is_bounded(self):
+        maxsize = _gauss.cache_info().maxsize
+        assert maxsize is not None
+        for a in range(1, maxsize + 2):
+            _gauss(a, 1)
+        assert _gauss.cache_info().currsize <= maxsize
+
     def test_memory_is_linear_in_the_degree(self):
         tracemalloc.start()
         try:
