@@ -6,15 +6,15 @@ tier-1 tests must detect.
 Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory.  The first run, the baseline, runs ``tests/test_acceptance.py``
 plus every mutant's test file on the unmutated copy: a failure there would
-read as every mutant killed, so the script prints pytest's output and exits
-1.  Then, for each
-mutant, it applies the replacement in a fresh copy (the replacement must match
-exactly once), runs ``tests/test_acceptance.py`` plus the mutant's test file
-with ``pytest -x`` and prints ``killed`` or ``survived``.  The mutants run
-concurrently, at most one per CPU this process may use, since most of each
-run is pytest's start-up and collection; the results print in ``MUTANTS``
-order.  It exits 1 on a survivor or a replacement that does not match exactly
-once.
+read as every mutant killed, so the script prints pytest's output, with the
+failing values, and exits 1.  Then, for each mutant, it applies the
+replacement in a fresh copy (the replacement must match exactly once), runs
+``tests/test_acceptance.py`` plus the mutant's test file with
+``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  The
+mutants run concurrently, at most one per CPU this process may use, since most
+of each run is pytest's start-up and collection; the results print in
+``MUTANTS`` order.  It exits 1 on a survivor or a replacement that does not
+match exactly once.
 """
 
 import os
@@ -71,7 +71,7 @@ MUTANTS = [
     # the fractional-twist character's bound made strict (gt spelled inline, as characters.py imports only ge)
     ("characters.py", "map(ge,", "map(lambda a, b: a > b,", "test_characters.py"),
     # the pole-order character's bound made strict
-    ("characters.py", "mu[n - 1 - 2 * k] >= -2 * k", "mu[n - 1 - 2 * k] > -2 * k", "test_characters.py"),
+    ("characters.py", "mu[-1 - 2 * k] >= -2 * k", "mu[-1 - 2 * k] > -2 * k", "test_characters.py"),
     # the Gaussian product step multiplies by 1 - q^(c+i-1), not 1 - q^(c+i)
     ("partitions.py", "shift = [0] * (c + i)", "shift = [0] * (c + i - 1)", "test_partitions.py"),
     # the division by 1 - q^i skips the last residue class
@@ -86,6 +86,8 @@ MUTANTS = [
     ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
     # Bott's algorithm on (lambda, 0), the 0 on the wrong side: (1, 1, 0) is dominant and lands in degree 0, not 2
     ("weights_bott.py", "bott((0,) + lam)", "bott(lam + (0,))", "test_weights_bott.py"),
+    # the pushforward's source window shrunk to 2m+4: 22,412 weights, not 39,133, and coverage at 2m+2
+    ("weights_bott.py", "bound = 2 * m + 6", "bound = 2 * m + 4", "test_weights_bott.py"),
     # validate lets a zero entry through
     ("lyubeznik.py", "if min(lams) <= 0:", "if min(lams) < 0:", "test_lyubeznik.py"),
     # validate checks i against the last column only: an entry below the diagonal passes
@@ -97,7 +99,9 @@ MUTANTS = [
     # the lowest exponent of the even simple D-class: the two-term splice fails
     ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
     # the pole-order quotient no longer removes the next pole order: the limits fail
-    ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1, n))", "quotient = pole", "test_characters.py"),
+    ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1))", "quotient = pole", "test_characters.py"),
+    # the limits' window shrunk to entries in [-5, 5]: the witness bound reads e <= 18, not 20
+    ("characters.py", "bound = 6", "bound = 5", "test_characters.py"),
     # stdout not flushed: a small buffered output to a closed reader fails at the exit flush, which exits 120
     ("cli.py", "stream.flush()", "pass", "test_package.py"),
 ]
@@ -118,9 +122,13 @@ def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subp
             if text.count(old) != 1:
                 return f"matches {text.count(old)} times"
             path.write_text(text.replace(old, new))
+        # a mutant's run needs only its exit code, so it skips assertion rewriting:
+        # with no bytecode written, pytest rewrites the modules of the hypothesis
+        # plugin anew at each launch
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
-            + [f"tests/{name}" for name in tests],
+            + [f"tests/{name}" for name in tests]
+            + (["--assert=plain"] if mutant else []),
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
             capture_output=True,

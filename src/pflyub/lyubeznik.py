@@ -42,14 +42,14 @@ class LyubeznikTable:
 
     __slots__ = ("n", "k", "dim", "rows")
 
-    def __init__(self, n: int, k: int, dim: int, rows: dict[int, tuple[tuple[int, ...], list[int]]] | None = None):
+    def __init__(self, n: int, k: int, rows: dict[int, tuple[tuple[int, ...], list[int]]]):
         self.n = n
         self.k = k
-        self.dim = dim
-        self.rows = {} if rows is None else rows
+        self.dim = comb(n, 2) - comb(n - 2 * k, 2)
+        self.rows = rows
 
     def __repr__(self) -> str:
-        return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, dim={self.dim!r}, rows={self.rows!r})"
+        return f"LyubeznikTable(n={self.n!r}, k={self.k!r}, rows={self.rows!r})"
 
     def validate(self) -> None:
         n, k, dim = self.n, self.k, self.dim
@@ -194,8 +194,6 @@ def build_table(n: int, k: int) -> LyubeznikTable:
     and k outside 0..floor(n/2)-1 by ``localcoh_class``."""
     if not 2 <= n <= _N_MAX:
         raise ValueError(f"require 2 <= n <= {_N_MAX}, got n={n}")
-    rows = _expand(_composed_factors(n, k))
-    dim = comb(n, 2) - comb(n - 2 * k, 2)
-    table = LyubeznikTable(n=n, k=k, dim=dim, rows=rows)
+    table = LyubeznikTable(n, k, _expand(_composed_factors(n, k)))
     table.validate()
     return table

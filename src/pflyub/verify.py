@@ -134,7 +134,7 @@ def _ext_checks(m_max: int):
 def _bott_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m + 1):
-            degree = weights_bott.verify_pushforward(m, p, 2 * m + 6)
+            degree = weights_bott.verify_pushforward(m, p)
             # the odd origin factor of D_s, s = m - p, is the even one shifted by that degree
             _require(
                 h0_D_odd(m, m - p) == QPoly.q(degree) * h0_D_even(m, m - p),
@@ -143,10 +143,10 @@ def _bott_checks(m_max: int):
             yield
 
 
-def _character_checks(m_max: int, bound: int):
+def _character_checks(m_max: int):
     for m in range(1, m_max + 1):
         for k in range(m):
-            characters.verify_limitpfaff(m, k, bound)
+            characters.verify_limitpfaff(m, k)
             yield
 
 
@@ -167,6 +167,6 @@ def verify_all(n_max: int) -> dict:
         _suite("origin_splices", _origin_checks(max(10, m_max))),
         _suite("ext_series", _ext_checks(7)),
         _suite("bott_pushforward", _bott_checks(4)),
-        _suite("character_limits", _character_checks(3, 6)),
+        _suite("character_limits", _character_checks(3)),
     ]
     return {"n_max": n_max, "pass": all(s["pass"] for s in suites), "suites": suites}

@@ -61,11 +61,10 @@ def _check_s(s: int, n: int) -> None:
         raise ValueError(f"require 0 <= s <= floor(n/2), got s={s}, n={n}")
 
 
-def in_B(lam: tuple[int, ...], s: int, n: int) -> bool:
-    """Membership of a dominant weight in B(s, n); False unless it has length n."""
+def in_B(lam: tuple[int, ...], s: int) -> bool:
+    """Membership of a dominant weight in B(s, n), n being its length."""
+    n = len(lam)
     _check_s(s, n)
-    if len(lam) != n:
-        return False
     m = n // 2
     if n % 2 == 0:
         if lam[0::2] != lam[1::2]:
@@ -99,26 +98,26 @@ def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(h + t for h in heads for t in tails)
 
 
-def verify_pushforward(m: int, p: int, bound: int) -> int | None:
+def verify_pushforward(m: int, p: int) -> int:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
-    For every lambda in the bounded window of B(m-p, 2m), Bott's algorithm is
-    applied to (0, lambda) in length 2m+1, the dual of the paper's
-    (dual(lambda), 0).  As dual(gamma) + rho = (n-1, ..., n-1) minus the
-    reversal of gamma + rho, Bott's algorithm commutes with dual: the degree is
-    the paper's, and the weight is the image itself.  Every non-vanishing case
+    For every lambda in the window of B(m-p, 2m) with entries of absolute
+    value at most 2m+6, Bott's algorithm is applied to (0, lambda) in length
+    2m+1, the dual of the paper's (dual(lambda), 0).  As dual(gamma) + rho =
+    (n-1, ..., n-1) minus the reversal of gamma + rho, Bott's algorithm
+    commutes with dual: the degree is the paper's, and the weight is the image
+    itself.  Every non-vanishing case
     must land in degree exactly 2m-2p with image in B(m-p, 2m+1); the
     assignment must be injective, and it must cover the entire B(m-p, 2m+1)
-    window at bound-2 (images of window-bounded sources shift entries by at
+    window at 2m+4 (images of window-bounded sources shift entries by at
     most 1, so the shrunken window is guaranteed to be reached).
 
-    Returns the degree the window landed in, None if no case survived, and
-    raises VerificationError naming the offending weight on any failure.
+    Returns the degree 2m-2p that the window landed in, and raises
+    VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
-    if bound < 2 * m:
-        raise ValueError(f"bound must be at least 2m = {2 * m}")
+    bound = 2 * m + 6
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lam in enumerate_B(m - p, 2 * m, bound):
@@ -129,15 +128,14 @@ def verify_pushforward(m: int, p: int, bound: int) -> int | None:
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
             )
-        if not in_B(image, m - p, 2 * m + 1):
+        if not in_B(image, m - p):
             raise VerificationError(
                 f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"
             )
         if image in images:
             raise VerificationError(f"pushforward(m={m}, p={p}): {lam} and {images[image]} share the image {image}")
         images[image] = lam
-    if bound >= 2 * m + 2:
-        missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
-        if missing:
-            raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
-    return expected_degree if images else None
+    missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
+    if missing:
+        raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
+    return expected_degree

@@ -2,106 +2,100 @@ import pytest
 
 from pflyub.characters import in_D, in_N, in_pole, paired_window, verify_limitpfaff
 from pflyub.errors import VerificationError
+from pflyub.partitions import _doubled
 from pflyub.weights_bott import dual, in_B
-
-
-def doubled(values):
-    return tuple(x for v in values for x in (v, v))
 
 
 class TestModuleN:
     def test_boundary_weight(self):
         m, k, e = 3, 1, 2
         nu = (-2 * k,) * (m - k) + (-e - 2 * k,) * k
-        assert in_N(doubled(nu), k, e, 2 * m)
-        assert not in_N(doubled(tuple(v - 1 for v in nu)), k, e, 2 * m)
+        assert in_N(_doubled(nu), k, e)
+        assert not in_N(_doubled(tuple(v - 1 for v in nu)), k, e)
 
     def test_parity_and_range_validation(self):
         with pytest.raises(ValueError):
-            in_N((0,) * 5, 0, 1, 5)
+            in_N((0,) * 5, 0, 1)
         with pytest.raises(ValueError):
-            in_N((0,) * 6, 3, 1, 6)
+            in_N((0,) * 6, 3, 1)
         with pytest.raises(ValueError):
-            in_N((0,) * 6, 0, 0, 6)
-        for _ in range(2):  # a refused weight length is refused again, not remembered
-            with pytest.raises(ValueError, match="weight has length 4, ambient requires 6"):
-                in_N((0,) * 4, 0, 1, 6)
+            in_N((0,) * 6, 0, 0)
 
 
 class TestPfPole:
     def test_k0_is_polynomial_ring_character(self):
         m = 3
         for mu in paired_window(m, 4):
-            assert in_pole(mu, 0, 2 * m) == (min(mu) >= 0)
+            assert in_pole(mu, 0) == (min(mu) >= 0)
 
     def test_condition_via_dual(self):
-        mu = doubled((1, 0, -2))
-        assert in_pole(mu, 1, 6)
+        mu = _doubled((1, 0, -2))
+        assert in_pole(mu, 1)
         assert dual(mu)[2] <= 2
         # the k+1-th pair value from the bottom drops below -2k: not a member
-        assert not in_pole(doubled((1, -3, -3)), 1, 6)
+        assert not in_pole(_doubled((1, -3, -3)), 1)
 
     def test_nested_in_k(self):
         m = 3
         window = paired_window(m, 5)
         sets = [
-            {mu for mu in window if in_pole(mu, k, 2 * m)} for k in range(m)
+            {mu for mu in window if in_pole(mu, k)} for k in range(m)
         ]
         assert sets[0] < sets[1] < sets[2]
 
     def test_odd_parity_rejected(self):
         with pytest.raises(ValueError):
-            in_pole((0,) * 5, 0, 5)
+            in_pole((0,) * 5, 0)
 
 
 class TestSimpleD:
     def test_top_simple_is_polynomial_ring(self):
         m = 2
         for mu in paired_window(m, 3):
-            assert in_D(mu, m, 2 * m) == (min(mu) >= 0)
+            assert in_D(mu, m) == (min(mu) >= 0)
 
     def test_membership_is_B_set_of_dual(self):
         for mu in paired_window(3, 4):
-            assert in_D(mu, 1, 6) == in_B(dual(mu), 2, 6)
+            assert in_D(mu, 1) == in_B(dual(mu), 2)
 
 
 class TestVerifyLimitPfaff:
     def test_m2_k1(self, monkeypatch):
         import pflyub.characters as ch
 
-        # no N_(k,e) reaches a pole-order weight: the witness bound 2 * bound + 4m is named
-        monkeypatch.setattr(ch, "in_N", lambda mu, k, e, n: False)
+        # no N_(k,e) reaches a pole-order weight: the witness bound 2 * 6 + 4m is named
+        monkeypatch.setattr(ch, "in_N", lambda mu, k, e: False)
         with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 20$"):
-            ch.verify_limitpfaff(2, 1, 6)
+            ch.verify_limitpfaff(2, 1)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            verify_limitpfaff(2, 2, 4)
+            verify_limitpfaff(2, 2)
 
     def test_corrupted_membership_is_caught(self, monkeypatch):
         import pflyub.characters as ch
 
         real = ch.in_pole
 
-        def corrupted(mu, k, n):
+        def corrupted(mu, k):
             if mu == (0, 0, -2, -2):
-                return not real(mu, k, n)
-            return real(mu, k, n)
+                return not real(mu, k)
+            return real(mu, k)
 
         monkeypatch.setattr(ch, "in_pole", corrupted)
         with pytest.raises(VerificationError, match=r"-2"):
-            ch.verify_limitpfaff(2, 1, 4)
+            ch.verify_limitpfaff(2, 1)
 
     def test_corrupted_simple_is_caught(self, monkeypatch):
         import pflyub.characters as ch
 
         real = ch.in_D
 
-        def corrupted(mu, s, n):
+        def corrupted(mu, s):
             if mu == (1, 1, -2, -2):
-                return not real(mu, s, n)
-            return real(mu, s, n)
+                return not real(mu, s)
+            return real(mu, s)
 
         monkeypatch.setattr(ch, "in_D", corrupted)
         with pytest.raises(VerificationError, match=r"\(1, 1, -2, -2\) is in the pole-order quotient .* but not in D_1"):
-            ch.verify_limitpfaff(2, 1, 4)
+            ch.verify_limitpfaff(2, 1)

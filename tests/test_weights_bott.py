@@ -56,14 +56,14 @@ class TestEnumerateB:
             for bound in range(7):
                 box = sorted(combinations_with_replacement(range(bound, -bound - 1, -1), n))
                 for s in range(n // 2 + 1):
-                    assert list(enumerate_B(s, n, bound)) == [w for w in box if in_B(w, s, n)]
+                    assert list(enumerate_B(s, n, bound)) == [w for w in box if in_B(w, s)]
 
     def test_bad_s(self):
         zero = (0,) * 4
         with pytest.raises(ValueError):
-            in_B(zero, 3, 4)
+            in_B(zero, 3)
         with pytest.raises(ValueError):
-            in_B(zero, -1, 4)
+            in_B(zero, -1)
 
     @pytest.mark.parametrize("s,n,bound", [(5, 4, 3), (3, 5, 10), (-1, 4, 3)])
     def test_enumeration_rejects_bad_s(self, s, n, bound):
@@ -73,9 +73,7 @@ class TestEnumerateB:
 
 class TestVerifyPushforward:
     def test_m1_p0_survivors(self):
-        assert verify_pushforward(1, 0, 6) == 2
-        # at bound 2 the window is (1, 1), (2, 2), and neither survives
-        assert verify_pushforward(1, 0, 2) is None
+        assert verify_pushforward(1, 0) == 2
         # lambda = (t, t) for t = 1..6; only t >= 3 survives, in degree 2
         domain = enumerate_B(1, 2, 6)
         assert domain == tuple((t, t) for t in range(1, 7))
@@ -87,28 +85,42 @@ class TestVerifyPushforward:
             degree, weight = bott(dual((t, t)) + (0,))
             assert degree == 2
             assert dual(weight) == (t - 1, t - 1, 2)
-            assert in_B(dual(weight), 1, 3)
+            assert in_B(dual(weight), 1)
 
     def test_m1_p1_dense_orbit_degree_zero(self):
-        assert verify_pushforward(1, 1, 6) == 0
+        assert verify_pushforward(1, 1) == 0
         assert {bott(dual(lam) + (0,))[0] for lam in enumerate_B(0, 2, 6)} == {0}
 
-    def test_suite_windows(self):
-        # the windows that verify's bott_pushforward visits, m <= 4 and p = 0..m
-        even = [len(enumerate_B(m - p, 2 * m, 2 * m + 6)) for m in range(1, 5) for p in range(m + 1)]
-        odd = [len(enumerate_B(m - p, 2 * m + 1, 2 * m + 4)) for m in range(1, 5) for p in range(m + 1)]
+    def test_suite_windows(self, monkeypatch):
+        # the windows that verify's bott_pushforward enumerates, m <= 4 and p = 0..m:
+        # the sources of B(m-p, 2m) at 2m+6, then the coverage of B(m-p, 2m+1) at 2m+4
+        import pflyub.weights_bott as wb
+        from pflyub.verify import _bott_checks
+
+        calls = []
+        real = wb.enumerate_B
+
+        def recorded(s, n, bound):
+            window = real(s, n, bound)
+            calls.append(((s, n, bound), len(window)))
+            return window
+
+        monkeypatch.setattr(wb, "enumerate_B", recorded)
+        assert sum(1 for _ in _bott_checks(4)) == 14
+        pairs = [(m, p) for m in range(1, 5) for p in range(m + 1)]
+        assert [args for args, _ in calls[0::2]] == [(m - p, 2 * m, 2 * m + 6) for m, p in pairs]
+        assert [args for args, _ in calls[1::2]] == [(m - p, 2 * m + 1, 2 * m + 4) for m, p in pairs]
+        even = [size for _, size in calls[0::2]]
         assert even == [8, 9, 36, 129, 66, 120, 925, 1425, 455, 330, 4565, 14592, 13413, 3060]
         assert sum(even) == 39_133
-        assert odd == [5, 7, 15, 77, 45, 35, 420, 819, 286, 70, 1596, 6885, 7480, 1820]
+        assert [size for _, size in calls[1::2]] == [5, 7, 15, 77, 45, 35, 420, 819, 286, 70, 1596, 6885, 7480, 1820]
 
     def test_p_equals_m_all_zero_weight(self):
         assert bott((0, 0, 0, 0, 0)) == (0, (0, 0, 0, 0, 0))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            verify_pushforward(2, 3, 10)
-        with pytest.raises(ValueError):
-            verify_pushforward(3, 0, 4)
+            verify_pushforward(2, 3)
 
     def test_failure_names_the_weight(self, monkeypatch):
         import pflyub.weights_bott as wb
@@ -123,7 +135,7 @@ class TestVerifyPushforward:
 
         monkeypatch.setattr(wb, "bott", corrupted)
         with pytest.raises(VerificationError, match="degree"):
-            wb.verify_pushforward(1, 0, 6)
+            wb.verify_pushforward(1, 0)
 
     def test_image_outside_B_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
@@ -142,7 +154,7 @@ class TestVerifyPushforward:
             VerificationError,
             match=r"image \(3, 2, 2\) of \(3, 3\) is not in B\(1, 3\)",
         ):
-            wb.verify_pushforward(1, 0, 6)
+            wb.verify_pushforward(1, 0)
 
     def test_shared_image_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
@@ -163,7 +175,7 @@ class TestVerifyPushforward:
             VerificationError,
             match=r"\(4, 4\) and \(3, 3\) share the image \(2, 2, 2\)",
         ):
-            wb.verify_pushforward(1, 0, 6)
+            wb.verify_pushforward(1, 0)
 
     def test_missing_preimage_is_named(self, monkeypatch):
         import pflyub.weights_bott as wb
@@ -184,7 +196,7 @@ class TestVerifyPushforward:
             VerificationError,
             match=r"window weight \(2, 2, 2\) has no preimage",
         ):
-            wb.verify_pushforward(1, 0, 6)
+            wb.verify_pushforward(1, 0)
 
 
 def test_bott_matches_brute_force():
