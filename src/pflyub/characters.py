@@ -11,7 +11,7 @@ after ``weights_bott.in_B(lam, s)``:
 
 * ``in_N(mu, k, e)``, the fractional-twist module
   N_{k,e} = I_{(m-k) x e} * Pf^{-e-2k}: mu = nu^(2) with
-  nu >= ((-2k)^(m-k), (-e-2k)^k);
+  nu >= ((-2k)^(m-k), (-e-2k)^k), read at the block ends nu_{m-k} and nu_m;
 * ``in_pole(mu, k)``, the pole-order module <Pf^(-2k)>: mu paired, with
   dual(mu)_{2k+1} = -mu_{n-2k} <= 2k;
 * ``in_D(mu, s)``, the simple module D_s: dual(mu) in B(m-s, n).
@@ -27,9 +27,7 @@ N_{k,e} <= N_{k,e+1} and N_{k,e} <= N_{k+1,e}, and that the weights of
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
-from operator import ge
 
 from .errors import VerificationError
 from .partitions import _doubled, _weakly_decreasing
@@ -44,23 +42,14 @@ def _check_k(k: int, n: int, odd_error: str) -> None:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
 
 
-@lru_cache(maxsize=256)
-def _threshold(k: int, e: int, n: int) -> tuple[int, ...]:
-    """The bound ((-2k)^(m-k), (-e-2k)^k) on the half of a weight in N_{k,e},
-    validated once per (k, e, n)."""
-    _check_k(k, n, "N_{k,e} requires an even ambient size")
+def in_N(mu: tuple[int, ...], k: int, e: int) -> bool:
+    """Membership in the character of N_{k,e} = I_{(m-k) x e} * Pf^(-e-2k): mu = nu^(2)
+    with nu >= ((-2k)^(m-k), (-e-2k)^k), read at the block ends nu_(m-k) and nu_m."""
+    _check_k(k, len(mu), "N_{k,e} requires an even ambient size")
     if e < 1:
         raise ValueError(f"require e >= 1, got e={e}")
-    m = n // 2
-    return (-2 * k,) * (m - k) + (-e - 2 * k,) * k
-
-
-def in_N(mu: tuple[int, ...], k: int, e: int) -> bool:
-    """Membership in the character of N_{k,e}, the (m-k) x e invariant ideal
-    twisted by Pf^(-e-2k)."""
-    threshold = _threshold(k, e, len(mu))
     half = mu[0::2]
-    return half == mu[1::2] and all(map(ge, half, threshold))
+    return half == mu[1::2] and half[-1 - k] >= -2 * k and half[-1] >= -e - 2 * k
 
 
 def in_pole(mu: tuple[int, ...], k: int) -> bool:

@@ -154,10 +154,11 @@ def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ..
     b_s meets is that b_s times a_s[i], with b_s's exponent tuple as its js;
     otherwise the row is one dense accumulator, strided by the gcd of the
     steps and offsets of the b_s that meet it, which the first b_s fills and
-    the others add into.  Every js comes from one cache of the distinct tuples,
-    looked up by its range (lo, step, size) for a row without holes, so rows
-    with the same columns share one js, which no caller may mutate."""
-    shape = cache(lambda js: js if isinstance(js, tuple) else shape(tuple(js)))
+    the others add into.  Every js is the one tuple ``canonical`` keeps per
+    shape, looked up by its range (lo, step, size) for a row without holes, so
+    rows with the same columns share one js, which no caller may mutate."""
+    canonical = cache(lambda js: js)
+    shape = cache(lambda js: canonical(tuple(js)))
     meets: dict[int, list[tuple[int, tuple[int, int, list[int], tuple[int, ...]]]]] = {}
     for a, b in factors:
         if b:

@@ -1,8 +1,10 @@
+from operator import ge
+
 import pytest
 
 from pflyub.characters import in_D, in_N, in_pole, paired_window, verify_limitpfaff
 from pflyub.errors import VerificationError
-from pflyub.partitions import _doubled
+from pflyub.partitions import _doubled, _weakly_decreasing
 from pflyub.weights_bott import dual, in_B
 
 
@@ -20,6 +22,17 @@ class TestModuleN:
             in_N((0,) * 6, 3, 1)
         with pytest.raises(ValueError):
             in_N((0,) * 6, 0, 0)
+
+    def test_block_ends_match_componentwise_bound(self):
+        # the bound read entry by entry, on every weakly decreasing weight in a
+        # window, paired or not
+        for m in range(1, 4):
+            for mu in _weakly_decreasing(2 * m, -8, 2):
+                half = mu[0::2]
+                for k in range(m):
+                    for e in range(1, 10):
+                        threshold = (-2 * k,) * (m - k) + (-e - 2 * k,) * k
+                        assert in_N(mu, k, e) == (half == mu[1::2] and all(map(ge, half, threshold))), (mu, k, e)
 
 
 class TestPfPole:

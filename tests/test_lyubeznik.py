@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 from math import comb
@@ -270,6 +271,16 @@ class TestEmitters:
             assert isinstance(js, tuple)
             assert shapes.setdefault(js, js) is js
         assert len(shapes) < len(rows)
+
+    def test_build_and_emission_leave_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            table = build_table(30, 7)
+            table.to_json(), table.to_csv(), table.to_latex()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerifyAll:
