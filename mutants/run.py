@@ -38,8 +38,10 @@ MUTANTS = [
     ("lyubeznik.py", '"ew": %d, "c": %%d}', '"ew": %d, "c":%%d}', "test_lyubeznik.py"),
     # a binomial argument of the even D-class
     ("kgroup.py", "gaussian_binomial(m - s - 1, k - s, power=4)", "gaussian_binomial(m - s, k - s, power=4)", "test_kgroup.py"),
-    # the Euler sum takes an odd row's odd-j entries as its odd-(i + j) ones: only the Euler check fails
-    ("lyubeznik.py", "odd = total - odd_j if i % 2 else odd_j", "odd = odd_j", "test_lyubeznik.py"),
+    # the Euler sum drops an odd row's sign, sum (-1)^j for (-1)^(i+j): only the Euler check fails
+    ("lyubeznik.py", "euler += -signed if i % 2 else signed", "euler += signed", "test_lyubeznik.py"),
+    # the parity mask reads a row's first column for all of them: only a row of mixed parities tells
+    ("lyubeznik.py", "cache(lambda js: [j & 1 for j in js])", "cache(lambda js: [js[0] & 1] * len(js))", "test_lyubeznik.py"),
     # the class's exponent step 1, not 2, at odd n: the odd class is no longer the shifted even D-class
     ("kgroup.py", "(4 - 2 * (n % 2))", "(4 - 3 * (n % 2))", "test_kgroup.py"),
     # the class's exponent step 0 at odd n: every table passes validate; only the tie to the even D-class fails
@@ -101,7 +103,7 @@ MUTANTS = [
     # the table size limit made exclusive: table (56, 27) is refused
     ("lyubeznik.py", "if not 2 <= n <= _N_MAX:", "if not 2 <= n < _N_MAX:", "test_lyubeznik.py"),
     # the stride the least exponent gap, not their gcd: gaps 2 and 3 lose a column
-    ("lyubeznik.py", "step = gcd(*[b - a for a, b in zip(exps, exps[1:])])", "step = min([b - a for a, b in zip(exps, exps[1:])], default=0)", "test_lyubeznik.py"),
+    ("lyubeznik.py", "step = gcd(*[f - e for e, f in zip(exps, exps[1:])])", "step = min([f - e for e, f in zip(exps, exps[1:])], default=0)", "test_lyubeznik.py"),
     # the lowest exponent of the even simple D-class: the two-term splice fails
     ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
     # the pole-order quotient no longer removes the next pole order: the limits fail

@@ -37,8 +37,7 @@ class LyubeznikTable:
     """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
     rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
     nonzero lambda_{i,j} at those j.  A built table's rows with the same columns
-    (one "shape") share one ``js`` tuple, which no caller may mutate.  Per-column
-    work runs once per shape, keyed on ``js``."""
+    (one "shape") share one ``js`` tuple, on which per-shape work is keyed."""
 
     __slots__ = ("n", "k", "dim", "rows")
 
@@ -63,10 +62,8 @@ class LyubeznikTable:
             if not (0 <= i <= js[0] and js[-1] <= dim):
                 j = js[0] if i < 0 or js[0] < i else next(j for j in js if j > dim)
                 raise TableInvariantError(n, k, f"index outside 0 <= i <= j <= {dim}", (i, j))
-            total = sum(lams)
-            odd_j = sum(compress(lams, odd_mask(js)))
-            odd = total - odd_j if i % 2 else odd_j  # the lambda_{i,j} with i + j odd
-            euler += total - 2 * odd
+            signed = sum(lams) - 2 * sum(compress(lams, odd_mask(js)))  # sum (-1)^j lambda_{i,j}
+            euler += -signed if i % 2 else signed
         js, lams = self.rows.get(dim, ((), ()))
         corner = lams[-1] if js and js[-1] == dim else None
         if corner != 1:
@@ -137,33 +134,25 @@ def _composed_factors(n: int, k: int) -> list[tuple[QPoly, QPoly]]:
     return [(h(m, p), coeff.reverse(comb(n, 2))) for p, coeff in enumerate(localcoh_class(n, k)) if coeff]
 
 
-def _strided(poly: QPoly) -> tuple[int, int, list[int], tuple[int, ...]]:
-    """A nonzero polynomial as (lo, step, coeffs, exps): the coefficient of
-    q^(lo + step*t) is coeffs[t], step is the gcd of the exponent gaps (0 for a
-    monomial, which has none), and exps are the exponents of the nonzero
-    coefficients, ascending."""
-    terms = poly.terms()
-    exps = tuple(sorted(terms))
-    step = gcd(*[b - a for a, b in zip(exps, exps[1:])])
-    return exps[0], step, [terms.get(e, 0) for e in range(exps[0], exps[-1] + 1, step or 1)], exps
-
-
 def _expand(factors: list[tuple[QPoly, QPoly]]) -> dict[int, tuple[tuple[int, ...], list[int]]]:
     """sum_s a_s(q) * b_s(w) as rows {i: (js, lams)} in ascending i: js the
-    ascending j and lams the nonzero coefficients of q^i w^j.  A row that one
-    b_s meets is that b_s times a_s[i], with b_s's exponent tuple as its js;
-    otherwise the row is one dense accumulator, strided by the gcd of the
+    ascending j and lams the nonzero coefficients of q^i w^j.  Each b_s is one
+    column, strided by the gcd of its exponent gaps (0 for a monomial).  A row
+    that one b_s meets is that column times a_s[i], with b_s's exponents as its
+    js; otherwise the row is one dense accumulator, strided by the gcd of the
     steps and offsets of the b_s that meet it, which the first b_s fills and
     the others add into.  Every js is the one tuple ``canonical`` keeps per
     shape, looked up by its range (lo, step, size) for a row without holes, so
-    rows with the same columns share one js, which no caller may mutate."""
+    rows with the same columns share one js."""
     canonical = cache(lambda js: js)
     shape = cache(lambda js: canonical(tuple(js)))
     meets: dict[int, list[tuple[int, tuple[int, int, list[int], tuple[int, ...]]]]] = {}
     for a, b in factors:
         if b:
-            lo, step, c, exps = _strided(b)
-            column = lo, step, c, shape(exps)
+            coeffs = b.terms()
+            exps = tuple(sorted(coeffs))
+            step = gcd(*[f - e for e, f in zip(exps, exps[1:])])
+            column = exps[0], step, [coeffs.get(e, 0) for e in range(exps[0], exps[-1] + 1, step or 1)], shape(exps)
             for i, x in a.terms().items():
                 meets.setdefault(i, []).append((x, column))
     rows = {}

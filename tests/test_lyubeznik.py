@@ -142,6 +142,8 @@ def _hand_built_rows(draw):
 class TestExpand:
     @given(st.lists(st.tuples(_A, _B), max_size=6), st.booleans())
     @example([(QPoly({0: 1}), QPoly({0: 1, 2: 1, 5: 1}))], False)  # gaps 2 and 3: stride 1, not 2
+    # row 0 is an accumulator over range(0, 2) and row 1 one factor's exponents: one shared (0, 1)
+    @example([(QPoly({0: 1, 1: 1}), QPoly({0: 1, 1: 1})), (QPoly({0: 1}), QPoly({0: 1, 1: 1}))], False)
     def test_matches_naive_accumulation(self, factors, cancel):
         if cancel and factors:
             a, b = factors[0]
@@ -208,6 +210,12 @@ class TestBuildTable:
         two_odd_columns = LyubeznikTable(n=6, k=1, rows={0: ((5, 7), [1, 3]), 9: ((9,), [1])})
         with pytest.raises(TableInvariantError, match="Euler characteristic is -3, expected 1"):
             two_odd_columns.validate()
+        # one js of mixed parity, shared by an even and an odd row: row 2 counts 3 - 1 and row 3
+        # counts -(1 - 2), so a parity mask of the first column gives 2 and no row sign gives -2
+        js = (6, 7)
+        mixed = LyubeznikTable(6, 1, {0: ((5,), [1]), 2: (js, [3, 1]), 3: (js, [1, 2]), 5: ((9,), [1]), 9: ((9,), [1])})
+        with pytest.raises(TableInvariantError, match="Euler characteristic is 4, expected 1"):
+            mixed.validate()
 
     def test_euler_characteristic_catches_an_error_both_routes_share(self, monkeypatch):
         real = partitions._gauss
