@@ -10,11 +10,13 @@ read as every mutant killed, so the script prints pytest's output, with the
 failing values, and exits 1.  Then, for each mutant, it applies the
 replacement in a fresh copy (the replacement must match exactly once), runs
 ``tests/test_acceptance.py`` plus the mutant's test file with
-``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  The
-mutants run concurrently, at most one per CPU this process may use, since most
-of each run is pytest's start-up and collection; the results print in
-``MUTANTS`` order.  It exits 1 on a survivor or a replacement that does not
-match exactly once.
+``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  Every
+run, the baseline too, passes ``--hypothesis-seed=0`` in a copy with no
+example database, so Hypothesis draws the same examples each time and the
+verdict no longer depends on the draw.  The mutants run concurrently, at most
+one per CPU this process may use, since most of each run is pytest's start-up
+and collection; the results print in ``MUTANTS`` order.  It exits 1 on a
+survivor or a replacement that does not match exactly once.
 """
 
 import os
@@ -38,6 +40,8 @@ MUTANTS = [
     ("lyubeznik.py", '"ew": %d, "c": %%d}', '"ew": %d, "c":%%d}', "test_lyubeznik.py"),
     # a binomial argument of the even D-class
     ("kgroup.py", "gaussian_binomial(m - s - 1, k - s, power=4)", "gaussian_binomial(m - s, k - s, power=4)", "test_kgroup.py"),
+    # the even D-class one degree late: the Q-to-D identity fails before any grade is read
+    ("kgroup.py", "shift = comb(2 * (m - k), 2)", "shift = comb(2 * (m - k), 2) + 1", "test_kgroup.py"),
     # the Euler sum drops an odd row's sign, sum (-1)^j for (-1)^(i+j): only the Euler check fails
     ("lyubeznik.py", "euler += -signed if i % 2 else signed", "euler += signed", "test_lyubeznik.py"),
     # the parity mask reads a row's first column for all of them: only a row of mixed parities tells
@@ -132,9 +136,10 @@ def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subp
             path.write_text(text.replace(old, new))
         # a mutant's run needs only its exit code, so it skips assertion rewriting:
         # with no bytecode written, pytest rewrites the modules of the hypothesis
-        # plugin anew at each launch
+        # plugin anew at each launch; the fixed seed makes every run draw the same examples
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+            + ["tests/test_acceptance.py"]
             + [f"tests/{name}" for name in tests]
             + (["--assert=plain"] if mutant else []),
             cwd=tmp,

@@ -34,10 +34,9 @@ _N_MAX = 56
 
 
 class LyubeznikTable:
-    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by
-    rows: ``rows[i] = (js, lams)`` with ``js`` ascending and ``lams`` the
-    nonzero lambda_{i,j} at those j.  A built table's rows with the same columns
-    (one "shape") share one ``js`` tuple, on which per-shape work is keyed."""
+    """The nonzero Lyubeznik numbers lambda_{i,j} of one Pfaffian ring, by rows: ``rows[i] =
+    (js, lams)``, ``lams`` the nonzero lambda_{i,j} at the j of ``js``, an ascending tuple, not a
+    list, as per-shape work is keyed on it; a built table's rows with equal columns share one."""
 
     __slots__ = ("n", "k", "dim", "rows")
 

@@ -39,6 +39,12 @@ def test_mul_laurent_inverse_monomial():
 def test_mul_square():
     p = QPoly.const(1) + QPoly.q(4)
     assert p * p == poly({0: 1, 4: 2, 8: 1})
+    # powers by repeated squaring, of a non-monomial and to the zeroth power
+    assert (QPoly.const(1) + QPoly.q()) ** 3 == poly({0: 1, 1: 3, 2: 3, 3: 1})
+    assert p ** 0 == QPoly.const(1)
+    for bad in (-1, 0.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            p ** bad
 
 
 def test_reverse():
