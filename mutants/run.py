@@ -116,6 +116,20 @@ MUTANTS = [
     ("characters.py", "bound = 6", "bound = 5", "test_characters.py"),
     # stdout not flushed: a small buffered output to a closed reader fails at the exit flush, which exits 120
     ("cli.py", "stream.flush()", "pass", "test_package.py"),
+    # the program entry no longer freezes: shutdown's full collection rescans the start-up heap again
+    ("cli.py", "        gc.freeze()", "        pass", "test_package.py"),
+    # an in-process main(argv) freezes too: the caller's collector changes under it
+    ("cli.py", "    if argv is None:  # this", "    gc.freeze()\n    if argv is None:  # this", "test_package.py"),
+    # the CSV cell template separates j from lambda by ";"
+    ("lyubeznik.py", '"\\0,%d,%%d\\n"', '"\\0,%d;%%d\\n"', "test_lyubeznik.py"),
+    # JSON table entries joined by "," with no space
+    ("lyubeznik.py", '"lambda": %%d}\', ", ")', '"lambda": %%d}\', ",")', "test_lyubeznik.py"),
+    # genfun terms joined by "," with no space
+    ("lyubeznik.py", '"c": %%d}\', ", ")', '"c": %%d}\', ",")', "test_lyubeznik.py"),
+    # the LaTeX zero cell left empty
+    ("lyubeznik.py", '["$0$"] * len(cols)', '["$$"] * len(cols)', "test_lyubeznik.py"),
+    # the LaTeX entry cell out of math mode
+    ("lyubeznik.py", 'row[column[j]] = "$%d$"', 'row[column[j]] = "%d"', "test_lyubeznik.py"),
 ]
 
 

@@ -17,10 +17,20 @@ Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
 error, 141 stdout closed before the output was written (as by ``| head``).
 An argument error or an internal error (an unexpected exception) is one line
 on stderr; a closed stdout prints nothing.
+
+A short command's launch is mostly the interpreter's start-up, ``site`` and
+whatever its ``.pth`` files import, then the command's own imports.  The
+process ends with a full collection that scans every object still tracked.
+So ``main`` reading the process's own ``sys.argv`` (``python -m pflyub.cli``
+and the ``pflyub`` script) first calls ``gc.freeze()``: no collection, that
+last one included, rescans the objects alive at start-up.  Refcounting still
+frees them; only cycles among them stay until exit.  ``main(argv)`` called
+with a list, in-process, does not freeze.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -78,8 +88,11 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # this process's own command line: no collection rescans its start-up heap
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        parsed = _parse(argv)
         code, text = (0, __doc__) if parsed is None else _dispatch(*parsed)
         _write(text)
         return code

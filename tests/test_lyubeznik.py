@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 from math import comb
 
@@ -12,6 +13,7 @@ from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bot
 from pflyub.cli import main
 from pflyub.errors import TableInvariantError, VerificationError
 from pflyub.lyubeznik import LyubeznikTable, build_table
+from pflyub.origin_localcoh import h0_D_even, h0_D_odd, h0_Q
 from pflyub.partitions import gaussian_binomial
 from pflyub.polyring import ZERO, QPoly
 from pflyub.verify import verify_all
@@ -106,6 +108,66 @@ class TestComposedPath:
         for n in range(2, 57):
             for k in range(n // 2):
                 assert _closed_factors(n, k) == ly._composed_factors(n, k), (n, k)
+
+
+def _exponent(poly, e):
+    """The exponent of the e-th term of ``poly``, in ascending order."""
+    return sorted(poly.terms())[e]
+
+
+def _lowest_exponents(factors, s):
+    a, b = factors[s]
+    return min(a.terms()), min(b.terms())
+
+
+# name: (left side, right side, three values for each of the three variables)
+_EXPONENT_IDENTITIES = {
+    # the odd origin factor of D_s is the even one times q^(2s), the degree verify_pushforward(m, m - s) lands in
+    "odd origin shift": (
+        lambda m, s, e: _exponent(h0_D_odd(m, s), e),
+        lambda m, s, e: 2 * s + _exponent(h0_D_even(m, s), e),
+        ((4, 5, 6), (1, 2, 3), (0, 1, 2)),
+    ),
+    # graded local duality: the Ext series, the box oracle regraded, reversed in C(2m, 2) is h0_Q(m, a - 1)
+    "h0_Q against the box": (
+        lambda m, a, e: _exponent(ext_mult.ext_series_enum(m, a, 2 * a - 1).reverse(comb(2 * m, 2)), e),
+        lambda m, a, e: _exponent(h0_Q(m, a - 1), e),
+        ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
+    ),
+    # the same regrading as written: box size e at C(2m,2) - C(2a-2,2) - 4(a-1) - 4e, reversed in C(2m,2),
+    # against h0_Q's q^(p(2p+3)) times q^(4e), p = a - 1; so C(2p, 2) + 4p = p(2p + 3)
+    "Ext regrading": (
+        lambda m, a, e: comb(2 * m, 2) - (comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1) - 4 * e),
+        lambda m, a, e: (a - 1) * (2 * (a - 1) + 3) + 4 * e,
+        ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
+    ),
+    # the lowest exponents of a_s and b_s, composed and closed, for n = 2m and 2m + 1
+    "closed and composed factors": (
+        lambda m, k, s: [_lowest_exponents(ly._composed_factors(n, k), s) for n in (2 * m, 2 * m + 1)],
+        lambda m, k, s: [_lowest_exponents(_closed_factors(n, k), s) for n in (2 * m, 2 * m + 1)],
+        ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _EXPONENT_IDENTITIES)
+def test_exponent_identities_hold_for_every_m(name):
+    """Each identity the factors rest on, once its two sides' binomials agree,
+    is an equality of exponents, and the source writes each exponent as a
+    polynomial of degree at most 2 in each of three integers: a C(x, 2), a
+    product of two linear terms, plus 4e for the e-th term of a binomial in q^4
+    (a Gaussian binomial has no zero coefficient between its lowest and top
+    degree).  So the difference D of the two sides is such a polynomial.  Write
+    D = c_0 + c_1 x + c_2 x^2, the c_i polynomials in (y, z) of degree at most
+    2 in each: if D vanishes at three values of x for each (y, z) of a 3 x 3
+    grid, then each c_i vanishes on that grid, and the same step on y, then on
+    z, makes each c_i zero.  So D vanishing on this 3 x 3 x 3 grid makes it zero
+    at every m, not only at the three m the grid takes.  The binomials agree by
+    the q-binomial theorem: the ``gaussian_binomials`` suite checks them against
+    the box for a <= 14, and TestGaussKernel against Pascal's rows for a <= 40."""
+    left, right, grid = _EXPONENT_IDENTITIES[name]
+    for point in itertools.product(*grid):
+        assert left(*point) == right(*point), point
 
 
 # q-polynomials for _expand: a_s with small exponents, so that rows collide, and

@@ -2,6 +2,7 @@
 the commands and the benchmark reach every public function and class."""
 
 import ast
+import gc
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import pflyub
+from pflyub.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pflyub.__file__)))
 VERIFY_ONLY = {"pflyub.verify", "pflyub.weights_bott", "pflyub.characters", "pflyub.ext_mult", "dataclasses"}
@@ -57,6 +59,31 @@ def test_verify_runs_without_dataclasses():
     loaded = ast.literal_eval(proc.stderr.strip().removeprefix("loaded: "))
     assert "pflyub.characters" in loaded
     assert "dataclasses" not in loaded
+
+
+# Runs ``python -m pflyub.cli gaussian --a 4 --b 2`` in a fresh interpreter,
+# then prints its exit code and the collector's freeze count to stderr.
+FREEZE = """
+import gc, runpy, sys
+assert gc.get_freeze_count() == 0
+sys.argv = ["pflyub", "gaussian", "--a", "4", "--b", "2"]
+try:
+    runpy.run_module("pflyub.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    print(stop.code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+def test_the_program_entry_freezes_the_start_up_heap():
+    proc = run_python("-c", FREEZE)
+    code, frozen = proc.stderr.split()
+    assert code == "0" and int(frozen) > 0, proc.stderr
+
+
+def test_main_called_with_a_list_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["gaussian", "--a", "4", "--b", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 # small outputs, under the buffer size: a buffered stdout holds them until the command flushes
