@@ -94,8 +94,10 @@ MUTANTS = [
     ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
     # Bott's algorithm on (lambda, 0), the 0 on the wrong side: (1, 1, 0) is dominant and lands in degree 0, not 2
     ("weights_bott.py", "bott((0,) + lam)", "bott(lam + (0,))", "test_weights_bott.py"),
-    # the pushforward's source window shrunk to 2m+4: 22,412 weights, not 39,133, and coverage at 2m+2
-    ("weights_bott.py", "bound = 2 * m + 6", "bound = 2 * m + 4", "test_weights_bott.py"),
+    # the pushforward's source window shrunk to 2m: at m = 1, p = 0 no weight survives
+    ("weights_bott.py", "bound = 2 * m + 2", "bound = 2 * m", "test_weights_bott.py"),
+    # the coverage window one past the sharp bound: (4, 4, 2) would need the source (5, 5)
+    ("weights_bott.py", "enumerate_B(m - p, 2 * m + 1, bound - 1)", "enumerate_B(m - p, 2 * m + 1, bound)", "test_weights_bott.py"),
     # each row without holes keeps its own js: rows with equal columns no longer share one
     ("lyubeznik.py", "canonical(tuple(js))", "tuple(js)", "test_lyubeznik.py"),
     # the shape cache closes over itself again: the output is the same, but each build leaves a reference cycle

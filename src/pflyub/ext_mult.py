@@ -16,8 +16,8 @@ cohomology of Q_(a-1); the ``ext_series`` suite of ``verify`` checks this.
 The Z-sets record which subquotient pairs (x, p) occur in the standard
 filtration of S/I_z, for two shapes of z: a rectangle a x (e+1), and the same
 rectangle with a column of ones glued underneath.  Only the ``ext_series``
-suite of ``verify`` reads them; ROADMAP item 3 ties them to the Ext series
-or deletes them.
+suite of ``verify`` reads them; an open ROADMAP item ties them to the Ext
+series or deletes them.
 A pair is the tuple (x, p): x a partition as a weakly decreasing m-tuple with
 x_1 = ... = x_{p+1}, and 0 <= p < m.
 """

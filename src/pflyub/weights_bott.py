@@ -101,23 +101,37 @@ def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
 def verify_pushforward(m: int, p: int) -> int:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
-    For every lambda in the window of B(m-p, 2m) with entries of absolute
-    value at most 2m+6, Bott's algorithm is applied to (0, lambda) in length
-    2m+1, the dual of the paper's (dual(lambda), 0).  As dual(gamma) + rho =
-    (n-1, ..., n-1) minus the reversal of gamma + rho, Bott's algorithm
+    For every lambda in the window of B(s, 2m), s = m-p, with entries of
+    absolute value at most 2m+2, Bott's algorithm is applied to (0, lambda) in
+    length 2m+1, the dual of the paper's (dual(lambda), 0).  As dual(gamma) +
+    rho = (n-1, ..., n-1) minus the reversal of gamma + rho, Bott's algorithm
     commutes with dual: the degree is the paper's, and the weight is the image
-    itself.  Every non-vanishing case
-    must land in degree exactly 2m-2p with image in B(m-p, 2m+1); the
-    assignment must be injective, and it must cover the entire B(m-p, 2m+1)
-    window at 2m+4 (images of window-bounded sources shift entries by at
-    most 1, so the shrunken window is guaranteed to be reached).
+    itself.  Every non-vanishing case must land in degree exactly 2m-2p with
+    image in B(s, 2m+1); the assignment must be injective, and it must cover
+    the entire B(s, 2m+1) window at 2m+1.
+
+    The window is proved sufficient.  In (0, lambda) + rho only the leading
+    2m can be out of order; it belongs after each lambda_i > i and repeats
+    lambda_i + 2m - i when lambda_i = i.  For lambda in B(s, 2m) the entries
+    above their index are exactly lambda_1, ..., lambda_{2s}, and an entry
+    equals its index exactly when lambda_{2s} is 2s-1 or 2s (s >= 1), which
+    vanishes.  So every survivor lands in degree 2s with image
+    (lambda_1-1, ..., lambda_{2s}-1, 2s, lambda_{2s+1}, ..., lambda_{2m}), and
+    the inverse, which adds 1 to the first 2s entries and drops the 2s, is a
+    bijection of B(s, 2m+1) onto the survivors.  Sources with entries in
+    [-W, W] therefore reach every weight of B(s, 2m+1) with entries in
+    [-(W-1), W-1]; for s >= 1 the weight (W, W, ..., 2s, ...) at W would need
+    the entry W+1, so coverage is checked at W-1.  W = 2m+2 is the least
+    window at which every (m, p) keeps two survivors, so that injectivity can
+    fail; at 2m+1, p = 0 keeps one.  A window with no survivor checks nothing
+    and fails.
 
     Returns the degree 2m-2p that the window landed in, and raises
     VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
-    bound = 2 * m + 6
+    bound = 2 * m + 2
     expected_degree = 2 * m - 2 * p
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lam in enumerate_B(m - p, 2 * m, bound):
@@ -135,7 +149,9 @@ def verify_pushforward(m: int, p: int) -> int:
         if image in images:
             raise VerificationError(f"pushforward(m={m}, p={p}): {lam} and {images[image]} share the image {image}")
         images[image] = lam
-    missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 2) if w not in images]
+    if not images:
+        raise VerificationError(f"pushforward(m={m}, p={p}): no weight of the window survives")
+    missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 1) if w not in images]
     if missing:
         raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
     return expected_degree

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pflyub.lyubeznik as ly
-from pflyub import characters, ext_mult, kgroup, partitions, verify, weights_bott
+from pflyub import ext_mult, kgroup, partitions, verify, weights_bott
 from pflyub.cli import main
 from pflyub.errors import TableInvariantError, VerificationError
 from pflyub.lyubeznik import LyubeznikTable, build_table
@@ -31,25 +31,6 @@ def entries(table):
 
 def _past_the_limit(*args):
     raise AssertionError("called past a size limit")
-
-
-@pytest.fixture
-def stub_slow_suites(monkeypatch):
-    """stub_slow_suites() makes the Bott and character verifiers no-ops (the
-    pushforward returning the degree it would land in), for a test that asserts
-    nothing about their suites: ``bott_pushforward`` costs about 0.15-0.2 s a
-    run and ``character_limits`` 0.03-0.05 s, and both run for real in the
-    session ``verify_report``.  A verifier named in ``keep`` stays real."""
-
-    def stub(keep=()):
-        for module, name, fake in (
-            (weights_bott, "verify_pushforward", lambda m, p: 2 * (m - p)),
-            (characters, "verify_limitpfaff", lambda *args: None),
-        ):
-            if name not in keep:
-                monkeypatch.setattr(module, name, fake)
-
-    return stub
 
 
 @pytest.fixture
@@ -354,8 +335,7 @@ class TestEmitters:
 
 
 class TestVerifyAll:
-    def test_corrupted_composed_route_is_located(self, corrupt_composed, stub_slow_suites):
-        stub_slow_suites()
+    def test_corrupted_composed_route_is_located(self, corrupt_composed):
         corrupt_composed(6, 1)
         report = verify_all(7)
         assert report["pass"] is False
@@ -366,8 +346,7 @@ class TestVerifyAll:
         # the other suites still ran
         assert all(s["pass"] for s in report["suites"] if s["name"] != "two_path_tables")
 
-    def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch, stub_slow_suites):
-        stub_slow_suites(keep=("verify_pushforward",))
+    def test_mid_suite_failure_counts_the_checks_before_it(self, monkeypatch):
         real = weights_bott.verify_pushforward
 
         def broken(m, p):
@@ -383,8 +362,7 @@ class TestVerifyAll:
         assert suite["error"] == "VerificationError: pushforward(m=2, p=1): injected"
         assert all(s["pass"] for s in report["suites"] if s["name"] != "bott_pushforward")
 
-    def test_unexpected_exception_is_recorded(self, monkeypatch, stub_slow_suites):
-        stub_slow_suites()
+    def test_unexpected_exception_is_recorded(self, monkeypatch):
         def broken(m, a, b):
             raise TypeError("broken step")
 
@@ -398,8 +376,7 @@ class TestVerifyAll:
         # the other suites still ran
         assert all(s["pass"] for s in report["suites"] if s["name"] != "ext_series")
 
-    def test_corrupted_h0_Q_is_located_by_duality(self, monkeypatch, stub_slow_suites):
-        stub_slow_suites()
+    def test_corrupted_h0_Q_is_located_by_duality(self, monkeypatch):
         real = verify.h0_Q
         monkeypatch.setattr(verify, "h0_Q", lambda m, p: real(m, p) + (QPoly.q(1) if (m, p) == (3, 1) else ZERO))
         report = verify_all(4)
@@ -447,8 +424,7 @@ class TestCli:
         terms = json.loads(capsys.readouterr().out)
         assert sum(t["c"] for t in terms) == comb(600, 2)
 
-    def test_verify_summary_lines_and_suite_seconds(self, capsys, stub_slow_suites):
-        stub_slow_suites()
+    def test_verify_summary_lines_and_suite_seconds(self, capsys):
         assert main(["verify", "--n-max", "4"]) == 0
         *lines, last = capsys.readouterr().out.splitlines()
         report = json.loads(last)
@@ -518,8 +494,7 @@ class TestCli:
         assert "usage: pflyub COMMAND" in captured.out
         assert "lyubeznik --n N --k K [--format json|csv|latex]" in captured.out
 
-    def test_verification_failure_exits_1(self, capsys, corrupt_composed, stub_slow_suites):
-        stub_slow_suites()
+    def test_verification_failure_exits_1(self, capsys, corrupt_composed):
         corrupt_composed(4, 1)
         assert main(["verify", "--n-max", "4"]) == 1
         assert "two_path_tables: FAIL" in capsys.readouterr().out
@@ -567,8 +542,7 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"error: require 2 <= n <= 56, got n={n}\n"
 
-    def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch, stub_slow_suites):
-        stub_slow_suites()
+    def test_verify_n_max_limit_refuses_before_any_table(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "build_table", _past_the_limit)
         for n_max in ("1", "57", str(10**12)):
             assert main(["verify", "--n-max", n_max]) == 2

@@ -72,28 +72,25 @@ class TestEnumerateB:
 
 
 class TestVerifyPushforward:
-    def test_m1_p0_survivors(self):
-        assert verify_pushforward(1, 0) == 2
-        # lambda = (t, t) for t = 1..6; only t >= 3 survives, in degree 2
-        domain = enumerate_B(1, 2, 6)
-        assert domain == tuple((t, t) for t in range(1, 7))
-        assert [bott((0,) + lam)[0] for lam in domain] == [None, None, 2, 2, 2, 2]
-
-    def test_m1_p0_images_patterned(self):
-        # survivor (t, t) maps to (t-1, t-1, 2)
-        for t in range(3, 7):
-            degree, weight = bott((0, t, t))
-            assert degree == 2
-            assert weight == (t - 1, t - 1, 2)
-            assert in_B(weight, 1)
-
-    def test_m1_p1_dense_orbit_degree_zero(self):
-        assert verify_pushforward(1, 1) == 0
-        assert {bott((0,) + lam)[0] for lam in enumerate_B(0, 2, 6)} == {0}
+    def test_bott_on_each_source_is_the_lemma_map(self):
+        # verify_pushforward's lemma, on a window wider than the suite's: lambda in
+        # B(s, 2m) vanishes when lambda_{2s} is 2s-1 or 2s, and otherwise lands in
+        # degree 2s at (lambda_1-1, ..., lambda_{2s}-1, 2s, lambda_{2s+1}, ...)
+        for m in range(1, 5):
+            for p in range(m + 1):
+                s = m - p
+                assert verify_pushforward(m, p) == 2 * s
+                for lam in enumerate_B(s, 2 * m, 2 * m + 4):
+                    if s and lam[2 * s - 1] in (2 * s - 1, 2 * s):
+                        expected = (None, None)
+                    else:
+                        expected = (2 * s, tuple(x - 1 for x in lam[: 2 * s]) + (2 * s,) + lam[2 * s :])
+                    assert bott((0,) + lam) == expected, (m, p, lam)
 
     def test_suite_windows(self, monkeypatch):
         # the windows that verify's bott_pushforward enumerates, m <= 4 and p = 0..m:
-        # the sources of B(m-p, 2m) at 2m+6, then the coverage of B(m-p, 2m+1) at 2m+4
+        # the sources of B(m-p, 2m) at 2m+2, then the coverage of B(m-p, 2m+1) at 2m+1,
+        # the windows that verify_pushforward's lemma proves sufficient and sharp
         import pflyub.weights_bott as wb
         from pflyub.verify import _bott_checks
 
@@ -108,12 +105,12 @@ class TestVerifyPushforward:
         monkeypatch.setattr(wb, "enumerate_B", recorded)
         assert sum(1 for _ in _bott_checks(4)) == 14
         pairs = [(m, p) for m in range(1, 5) for p in range(m + 1)]
-        assert [args for args, _ in calls[0::2]] == [(m - p, 2 * m, 2 * m + 6) for m, p in pairs]
-        assert [args for args, _ in calls[1::2]] == [(m - p, 2 * m + 1, 2 * m + 4) for m, p in pairs]
+        assert [args for args, _ in calls[0::2]] == [(m - p, 2 * m, 2 * m + 2) for m, p in pairs]
+        assert [args for args, _ in calls[1::2]] == [(m - p, 2 * m + 1, 2 * m + 1) for m, p in pairs]
         even = [size for _, size in calls[0::2]]
-        assert even == [8, 9, 36, 129, 66, 120, 925, 1425, 455, 330, 4565, 14592, 13413, 3060]
-        assert sum(even) == 39_133
-        assert [size for _, size in calls[1::2]] == [5, 7, 15, 77, 45, 35, 420, 819, 286, 70, 1596, 6885, 7480, 1820]
+        assert even == [4, 5, 10, 53, 28, 20, 267, 517, 165, 35, 931, 4200, 4459, 1001]
+        assert sum(even) == 11_695
+        assert [size for _, size in calls[1::2]] == [2, 4, 3, 32, 21, 4, 120, 330, 120, 5, 320, 2205, 2912, 715]
 
     def test_p_equals_m_all_zero_weight(self):
         assert bott((0, 0, 0, 0, 0)) == (0, (0, 0, 0, 0, 0))
@@ -196,6 +193,14 @@ class TestVerifyPushforward:
             VerificationError,
             match=r"window weight \(2, 2, 2\) has no preimage",
         ):
+            wb.verify_pushforward(1, 0)
+
+    def test_window_with_no_survivor_fails(self, monkeypatch):
+        import pflyub.weights_bott as wb
+
+        # every case vanishes: the injectivity and coverage checks would have nothing to read
+        monkeypatch.setattr(wb, "bott", lambda gamma: (None, None))
+        with pytest.raises(VerificationError, match=r"^pushforward\(m=1, p=0\): no weight of the window survives$"):
             wb.verify_pushforward(1, 0)
 
 
