@@ -114,8 +114,10 @@ MUTANTS = [
     ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
     # the pole-order quotient no longer removes the next pole order: the limits fail
     ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1))", "quotient = pole", "test_characters.py"),
-    # the limits' window shrunk to entries in [-5, 5]: the witness bound reads e <= 18, not 20
-    ("characters.py", "bound = 6", "bound = 5", "test_characters.py"),
+    # the limits' window shrunk to 2m-1: at m = 2, k = 1 no weight steps in e, and the suite fails
+    ("characters.py", "bound = 2 * m", "bound = 2 * m - 1", "test_characters.py"),
+    # the witness bound cut to e <= 2m-3: at m = 1 no e is left, and at k = 1 nu_m = -2m needs e = 2m-2
+    ("characters.py", "es = range(1, bound + 1)", "es = range(1, bound - 2)", "test_characters.py"),
     # stdout not flushed: a small buffered output to a closed reader fails at the exit flush, which exits 120
     ("cli.py", "stream.flush()", "pass", "test_package.py"),
     # the program entry no longer freezes: shutdown's full collection rescans the start-up heap again

@@ -19,10 +19,11 @@ after ``weights_bott.in_B(lam, s)``:
 Each raises ValueError for an index out of range, or an odd n where the
 module needs an even one.
 
-``verify_limitpfaff`` checks, on a bounded weight window, that <Pf^(-2k)> is
-the union over e of the N_{k,e} characters, together with the inclusions
-N_{k,e} <= N_{k,e+1} and N_{k,e} <= N_{k+1,e}, and that the weights of
-<Pf^(-2k)> outside <Pf^(-2k+2)> are those of the simple D_{m-k}.
+``verify_limitpfaff`` checks, on the paired weights with entries in [-2m, 2m]
+and witnesses e <= 2m (a window its docstring proves sufficient), that
+<Pf^(-2k)> is the union over e of the N_{k,e} characters, together with the
+inclusions N_{k,e} <= N_{k,e+1} and N_{k,e} <= N_{k+1,e}, and that the weights
+of <Pf^(-2k)> outside <Pf^(-2k+2)> are those of the simple D_{m-k}.
 """
 
 from __future__ import annotations
@@ -74,24 +75,33 @@ def paired_window(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_limitpfaff(m: int, k: int) -> None:
-    """Bounded check that <Pf^(-2k)> is the rising union of the N_{k,e}.
+    """Check that <Pf^(-2k)> is the rising union of the N_{k,e}.
 
-    For every paired weight mu of length 2m with entries in [-6, 6],
+    For every paired weight mu of length 2m with entries in [-2m, 2m],
     membership in <Pf^(-2k)> must be equivalent to membership in N_{k,e} for
-    some e <= 12 + 4m (once e exceeds every entry in absolute value,
-    membership stabilizes, so this witness bound suffices).  Also asserts the
-    inclusions N_{k,e} <= N_{k,e+1} for all e in range, and N_{k,e} <=
-    N_{k+1,e} when k+1 <= m-1, and that mu lies in <Pf^(-2k)> but not in
-    <Pf^(-2k+2)> exactly when it lies in the simple D_{m-k} (for k = 0,
-    exactly when it lies in <Pf^0> = S).
+    some e <= 2m.  Also asserts the inclusions N_{k,e} <= N_{k,e+1} for all e
+    in range, and N_{k,e} <= N_{k+1,e} when k+1 <= m-1, and that mu lies in
+    <Pf^(-2k)> but not in <Pf^(-2k+2)> exactly when it lies in the simple
+    D_{m-k} (for k = 0, exactly when it lies in <Pf^0> = S).
+
+    The window is proved sufficient.  With mu = nu^(2), the membership
+    functions read nu only through nu_{m-k-1} >= -2k-2, nu_{m-k} >= -2k,
+    nu_{m-k+1} >= 2-2k and nu_m >= -e-2k.  The first three thresholds lie in
+    [-2m+2, 0], so clamping nu to [-W, W], W >= 2m-1, keeps it decreasing and
+    keeps their answers.  A pole weight lies in N_{k,e} exactly from
+    e = max(1, -nu_m-2k) <= W on: e <= W is a witness bound, and the flags in e
+    form one False -> True step that clamping moves but keeps.  W = 2m is the
+    least window where every k >= 1 has a weight that steps after e = 1
+    (nu_m = -2m, nu_{m-k} = -2k), so the step check can fail; at 2m-1, k = m-1
+    has none.  A window where no weight steps fails.
 
     Raises VerificationError with the offending weight on failure.
     """
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
-    bound = 6
-    e_max = 2 * bound + 4 * m
-    es = range(1, e_max + 1)
+    bound = 2 * m
+    es = range(1, bound + 1)
+    stepped = False
     for mu in paired_window(m, bound):
         flags = [in_N(mu, k, e) for e in es]
         pole = in_pole(mu, k)
@@ -99,7 +109,7 @@ def verify_limitpfaff(m: int, k: int) -> None:
             raise VerificationError(
                 f"limit(m={m}, k={k}): {mu} is "
                 f"{'in' if pole else 'not in'} the pole-order character but "
-                f"{'not ' if pole else ''}reached by N_(k,e), e <= {e_max}"
+                f"{'not ' if pole else ''}reached by N_(k,e), e <= {bound}"
             )
         quotient = pole and not (k and in_pole(mu, k - 1))
         if quotient != in_D(mu, m - k):
@@ -110,9 +120,12 @@ def verify_limitpfaff(m: int, k: int) -> None:
         if flags != sorted(flags):  # False < True, so a rising chain is sorted
             e = next(e for e in es if flags[e - 1] and not flags[e])
             raise VerificationError(f"limit(m={m}, k={k}): {mu} in N_(k,{e}) but not in N_(k,{e + 1})")
+        stepped = stepped or (pole and not flags[0])
         if k + 1 <= m - 1:
             for e in compress(es, flags):
                 if not in_N(mu, k + 1, e):
                     raise VerificationError(
                         f"limit(m={m}, k={k}): {mu} in N_(k,{e}) but not in N_(k+1,{e})"
                     )
+    if k and not stepped:
+        raise VerificationError(f"limit(m={m}, k={k}): no weight of the window needs e > 1")

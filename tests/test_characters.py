@@ -73,12 +73,35 @@ class TestSimpleD:
 
 
 class TestVerifyLimitPfaff:
+    def test_clamping_keeps_every_answer_and_the_e_step(self):
+        # verify_limitpfaff's lemma, on a window wider than the suite's: clamping to
+        # [-2m, 2m] keeps in_pole and in_D, and N_(k,e) holds exactly for the pole
+        # weights from e = max(1, -nu_m - 2k) on, read on the two sides of that step
+        for m in range(1, 5):
+            w = 2 * m
+            for mu in paired_window(m, w + 1):
+                clamped = tuple(min(max(x, -w), w) for x in mu)
+                for k in range(m):
+                    pole = in_pole(mu, k)
+                    assert (pole, in_D(mu, m - k)) == (in_pole(clamped, k), in_D(clamped, m - k)), (mu, k)
+                    step = max(1, -mu[-1] - 2 * k)
+                    assert in_N(mu, k, step) == pole and not (step > 1 and in_N(mu, k, step - 1)), (mu, k)
+
     def test_m2_k1(self, monkeypatch):
         import pflyub.characters as ch
 
-        # no N_(k,e) reaches a pole-order weight: the witness bound 2 * 6 + 4m is named
+        # no N_(k,e) reaches a pole-order weight: the witness bound 2m is named
         monkeypatch.setattr(ch, "in_N", lambda mu, k, e: False)
-        with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 20$"):
+        with pytest.raises(VerificationError, match=r"reached by N_\(k,e\), e <= 4$"):
+            ch.verify_limitpfaff(2, 1)
+
+    def test_window_with_no_e_step_fails(self, monkeypatch):
+        import pflyub.characters as ch
+
+        # in_N ignores e, each N_(k,e) the whole pole-order character: every other
+        # check passes, but no weight steps in e, so N_(k,e) <= N_(k,e+1) goes unread
+        monkeypatch.setattr(ch, "in_N", lambda mu, k, e: ch.in_pole(mu, k))
+        with pytest.raises(VerificationError, match=r"^limit\(m=2, k=1\): no weight of the window needs e > 1$"):
             ch.verify_limitpfaff(2, 1)
 
     def test_bad_range(self):

@@ -90,6 +90,23 @@ class TestComposedPath:
             for k in range(n // 2):
                 assert _closed_factors(n, k) == ly._composed_factors(n, k), (n, k)
 
+    def test_the_even_tables_are_not_the_semisimple_ones(self):
+        # the paper's result for even n: the local cohomology splits into the
+        # indecomposables Q_p, not into the simples D_s.  The same class expanded in
+        # the D-basis, as if it were semisimple, gives the real table at k = 0 and a
+        # different one at every k >= 1, which validate still passes
+        for n in range(4, 25, 2):
+            m = n // 2
+            for k in range(m - 1):
+                d_class = kgroup.localcoh_class_even_D(m, k)
+                factors = [(h0_D_even(m, s), c.reverse(comb(n, 2))) for s, c in enumerate(d_class) if c]
+                semisimple = LyubeznikTable(n, k, ly._expand(factors))
+                semisimple.validate()
+                real = build_table(n, k).rows
+                assert (semisimple.rows == real) == (k == 0), (n, k)
+                if (n, k) == (6, 1):
+                    assert _entries(semisimple.rows) == {**_entries(real), (0, 9): 1, (1, 9): 1}
+
 
 def _exponent(poly, e):
     """The exponent of the e-th term of ``poly``, in ascending order."""
