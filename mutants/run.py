@@ -114,10 +114,14 @@ MUTANTS = [
     ("origin_localcoh.py", "QPoly.q(s * (2 * s - 1))", "QPoly.q(s * (2 * s + 1))", "test_origin_localcoh.py"),
     # the pole-order quotient no longer removes the next pole order: the limits fail
     ("characters.py", "quotient = pole and not (k and in_pole(mu, k - 1))", "quotient = pole", "test_characters.py"),
-    # the limits' window shrunk to 2m-1: at m = 2, k = 1 no weight steps in e, and the suite fails
-    ("characters.py", "bound = 2 * m", "bound = 2 * m - 1", "test_characters.py"),
-    # the witness bound cut to e <= 2m-3: at m = 1 no e is left, and at k = 1 nu_m = -2m needs e = 2m-2
-    ("characters.py", "es = range(1, bound + 1)", "es = range(1, bound - 2)", "test_characters.py"),
+    # the limits' window starts at -2m+1: at m = 2, k = 1 no weight steps in e, and the suite fails
+    ("characters.py", "_weakly_decreasing(m, -2 * m, 0)", "_weakly_decreasing(m, -2 * m + 1, 0)", "test_characters.py"),
+    # the limits' window ends at -1: at k = 0 no weight is a pole weight, so the window misses that side
+    ("characters.py", "_weakly_decreasing(m, -2 * m, 0)", "_weakly_decreasing(m, -2 * m, -1)", "test_characters.py"),
+    # the witness bound cut to e <= 2(m-k)-1: nu_m = -2m, nu_(m-k) = -2k needs e = 2(m-k)
+    ("characters.py", "e_max = 2 * (m - k) if k else 1", "e_max = 2 * (m - k) - 1 if k else 1", "test_characters.py"),
+    # no witness at k = 0: the pole weights (nu_m >= 0) are reached by no N_(0,e)
+    ("characters.py", "e_max = 2 * (m - k) if k else 1", "e_max = 2 * (m - k) if k else 0", "test_characters.py"),
     # stdout not flushed: a small buffered output to a closed reader fails at the exit flush, which exits 120
     ("cli.py", "stream.flush()", "pass", "test_package.py"),
     # the program entry no longer freezes: shutdown's full collection rescans the start-up heap again

@@ -19,11 +19,12 @@ after ``weights_bott.in_B(lam, s)``:
 Each raises ValueError for an index out of range, or an odd n where the
 module needs an even one.
 
-``verify_limitpfaff`` checks, on the paired weights with entries in [-2m, 2m]
-and witnesses e <= 2m (a window its docstring proves sufficient), that
-<Pf^(-2k)> is the union over e of the N_{k,e} characters, together with the
-inclusions N_{k,e} <= N_{k,e+1} and N_{k,e} <= N_{k+1,e}, and that the weights
-of <Pf^(-2k)> outside <Pf^(-2k+2)> are those of the simple D_{m-k}.
+``verify_limitpfaff`` checks, on the paired weights with entries in [-2m, 0]
+and witnesses e <= 2(m-k) (e = 1 for k = 0), a window its docstring proves
+sufficient and least, that <Pf^(-2k)> is the union over e of the N_{k,e}
+characters, together with the inclusions N_{k,e} <= N_{k,e+1} and
+N_{k,e} <= N_{k+1,e}, and that the weights of <Pf^(-2k)> outside <Pf^(-2k+2)>
+are those of the simple D_{m-k}.
 """
 
 from __future__ import annotations
@@ -69,47 +70,46 @@ def in_D(mu: tuple[int, ...], s: int) -> bool:
     return in_B(dual(mu), m - s)
 
 
-def paired_window(m: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """All paired dominant weights of length 2m with entries in [-bound, bound]."""
-    return tuple(map(_doubled, _weakly_decreasing(m, -bound, bound)))
-
-
 def verify_limitpfaff(m: int, k: int) -> None:
     """Check that <Pf^(-2k)> is the rising union of the N_{k,e}.
 
-    For every paired weight mu of length 2m with entries in [-2m, 2m],
+    For every paired weight mu = nu^(2) of length 2m with nu in [-2m, 0],
     membership in <Pf^(-2k)> must be equivalent to membership in N_{k,e} for
-    some e <= 2m.  Also asserts the inclusions N_{k,e} <= N_{k,e+1} for all e
-    in range, and N_{k,e} <= N_{k+1,e} when k+1 <= m-1, and that mu lies in
-    <Pf^(-2k)> but not in <Pf^(-2k+2)> exactly when it lies in the simple
-    D_{m-k} (for k = 0, exactly when it lies in <Pf^0> = S).
+    some e <= E_k, where E_k = 2(m-k) for k >= 1 and E_0 = 1.  Also asserts
+    the inclusions N_{k,e} <= N_{k,e+1} for all e in range, and
+    N_{k,e} <= N_{k+1,e} when k+1 <= m-1, and that mu lies in <Pf^(-2k)> but
+    not in <Pf^(-2k+2)> exactly when it lies in the simple D_{m-k} (for k = 0,
+    exactly when it lies in <Pf^0> = S).
 
-    The window is proved sufficient.  With mu = nu^(2), the membership
-    functions read nu only through nu_{m-k-1} >= -2k-2, nu_{m-k} >= -2k,
-    nu_{m-k+1} >= 2-2k and nu_m >= -e-2k.  The first three thresholds lie in
-    [-2m+2, 0], so clamping nu to [-W, W], W >= 2m-1, keeps it decreasing and
-    keeps their answers.  A pole weight lies in N_{k,e} exactly from
-    e = max(1, -nu_m-2k) <= W on: e <= W is a witness bound, and the flags in e
-    form one False -> True step that clamping moves but keeps.  W = 2m is the
-    least window where every k >= 1 has a weight that steps after e = 1
-    (nu_m = -2m, nu_{m-k} = -2k), so the step check can fail; at 2m-1, k = m-1
-    has none.  A window where no weight steps fails.
+    The window is proved sufficient and least.  The membership functions
+    compare nu only with thresholds <= 0: -2k-2, -2k, 2-2k (k >= 1), 0 (k = 0),
+    -e-2k and -e-2k-2.  Clamping nu to [-2m, 0] keeps it weakly decreasing and
+    keeps every answer whose threshold lies in [-2m+1, 0], which holds for each
+    threshold free of e.  A pole weight lies in N_{k,e} exactly from e = max(1, -nu_m-2k) on:
+    one False -> True step in e, which clamping nu_m to -2m moves to E_k, and
+    which on the window is at most E_k (k = 0 forces nu_m >= 0).  The pole
+    weight nu_m = -2m, nu_{m-k} = -2k steps at exactly E_k; for k = m-1 >= 1 it
+    is the only one that steps after e = 1, so a window starting above -2m has
+    no step there.  0 is the k = 0 threshold: a window ending below it has no
+    pole weight at k = 0.  A window with no e-step for some k >= 1 fails, and so
+    does one where every weight, or none, lies in <Pf^(-2k)>.
 
     Raises VerificationError with the offending weight on failure.
     """
     if not 0 <= k <= m - 1:
         raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")
-    bound = 2 * m
-    es = range(1, bound + 1)
+    e_max = 2 * (m - k) if k else 1
+    es = range(1, e_max + 1)
+    sides = set()
     stepped = False
-    for mu in paired_window(m, bound):
+    for mu in map(_doubled, _weakly_decreasing(m, -2 * m, 0)):
         flags = [in_N(mu, k, e) for e in es]
         pole = in_pole(mu, k)
         if pole != any(flags):
             raise VerificationError(
                 f"limit(m={m}, k={k}): {mu} is "
                 f"{'in' if pole else 'not in'} the pole-order character but "
-                f"{'not ' if pole else ''}reached by N_(k,e), e <= {bound}"
+                f"{'not ' if pole else ''}reached by N_(k,e), e <= {e_max}"
             )
         quotient = pole and not (k and in_pole(mu, k - 1))
         if quotient != in_D(mu, m - k):
@@ -120,6 +120,7 @@ def verify_limitpfaff(m: int, k: int) -> None:
         if flags != sorted(flags):  # False < True, so a rising chain is sorted
             e = next(e for e in es if flags[e - 1] and not flags[e])
             raise VerificationError(f"limit(m={m}, k={k}): {mu} in N_(k,{e}) but not in N_(k,{e + 1})")
+        sides.add(pole)
         stepped = stepped or (pole and not flags[0])
         if k + 1 <= m - 1:
             for e in compress(es, flags):
@@ -127,5 +128,7 @@ def verify_limitpfaff(m: int, k: int) -> None:
                     raise VerificationError(
                         f"limit(m={m}, k={k}): {mu} in N_(k,{e}) but not in N_(k+1,{e})"
                     )
+    if len(sides) < 2:
+        raise VerificationError(f"limit(m={m}, k={k}): the window does not straddle the pole-order character")
     if k and not stepped:
         raise VerificationError(f"limit(m={m}, k={k}): no weight of the window needs e > 1")

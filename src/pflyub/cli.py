@@ -5,7 +5,7 @@ usage: pflyub COMMAND --option VALUE ...
     lyubeznik --n N --k K [--format json|csv|latex]   table to stdout
     genfun    --n N --k K                             L_k(q, w) as JSON terms
     localcoh  --parity even|odd --m M --object Q|D|pfpole --index P
-    gaussian  --a A --b B [--power 4]
+    gaussian  --a A --b B [--power P]
     bott      --gamma g1,g2,...,gn
     verify    [--n-max N]
 
@@ -17,15 +17,6 @@ Exit codes: 0 success, 1 verification failure, 2 argument error, 3 internal
 error, 141 stdout closed before the output was written (as by ``| head``).
 An argument error or an internal error (an unexpected exception) is one line
 on stderr; a closed stdout prints nothing.
-
-A short command's launch is mostly the interpreter's start-up, ``site`` and
-whatever its ``.pth`` files import, then the command's own imports.  The
-process ends with a full collection that scans every object still tracked.
-So ``main`` reading the process's own ``sys.argv`` (``python -m pflyub.cli``
-and the ``pflyub`` script) first calls ``gc.freeze()``: no collection, that
-last one included, rescans the objects alive at start-up.  Refcounting still
-frees them; only cycles among them stay until exit.  ``main(argv)`` called
-with a list, in-process, does not freeze.
 """
 
 from __future__ import annotations
@@ -88,7 +79,10 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:  # this process's own command line: no collection rescans its start-up heap
+    # shutdown ends with a full collection over every tracked object, so the program entry freezes
+    # the start-up heap first: no collection rescans it, and refcounting still frees it; main(argv)
+    # called in-process with a list leaves the caller's collector as it was
+    if argv is None:  # this process's own command line
         gc.freeze()
         argv = sys.argv[1:]
     try:

@@ -510,6 +510,7 @@ class TestCli:
         assert captured.err == ""
         assert "usage: pflyub COMMAND" in captured.out
         assert "lyubeznik --n N --k K [--format json|csv|latex]" in captured.out
+        assert "gc.freeze" not in captured.out  # an implementation note, kept at main
 
     def test_verification_failure_exits_1(self, capsys, corrupt_composed):
         corrupt_composed(4, 1)
