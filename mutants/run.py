@@ -128,6 +128,8 @@ MUTANTS = [
     ("cli.py", "        gc.freeze()", "        pass", "test_package.py"),
     # an in-process main(argv) freezes too: the caller's collector changes under it
     ("cli.py", "    if argv is None:  # this", "    gc.freeze()\n    if argv is None:  # this", "test_package.py"),
+    # the annotation's Mapping from typing again: every table command loads typing, re and enum
+    ("polyring.py", "from collections.abc import Mapping", "from typing import Mapping", "test_package.py"),
     # the CSV cell template separates j from lambda by ";"
     ("lyubeznik.py", '"\\0,%d,%%d\\n"', '"\\0,%d;%%d\\n"', "test_lyubeznik.py"),
     # JSON table entries joined by "," with no space

@@ -17,10 +17,10 @@ agree.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement
 from operator import sub
-from typing import Iterator
 
 from .polyring import QPoly, _raw
 

@@ -7,7 +7,7 @@ Coefficients are Python integers, hence exact at any size.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 
 class QPoly:
@@ -26,10 +26,6 @@ class QPoly:
         self._terms = data
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, c: int) -> QPoly:
-        return cls({0: c})
 
     @classmethod
     def q(cls, e: int = 1) -> QPoly:
@@ -100,7 +96,7 @@ class QPoly:
     def __pow__(self, n: int) -> QPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = QPoly.const(1)
+        result = QPoly({0: 1})
         base = self
         while n:
             if n & 1:
@@ -125,16 +121,9 @@ class QPoly:
     # -- equality & display --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):  # not through the constructor, which refuses a bool
-            return self._terms == ({0: other} if other else {})
         if not isinstance(other, QPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._terms.keys() <= {0}:  # a constant == its int, so it must hash like it
-            return hash(self._terms.get(0, 0))
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"QPoly({self._terms!r})"
@@ -149,7 +138,7 @@ def _coerce(value: QPoly | int) -> QPoly:
     if isinstance(value, QPoly):
         return value
     if isinstance(value, int):
-        return QPoly.const(value)
+        return QPoly({0: value})
     return NotImplemented
 
 

@@ -24,17 +24,24 @@ absolute value at most a caller-supplied bound, as a tuple in ascending order.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
+from collections.abc import Sequence
 from operator import add, neg, sub
-from typing import Sequence
 
 from .errors import VerificationError
 from .partitions import _doubled, _weakly_decreasing
+
+
+# bott's sorted insertions take time quadratic in the length when many pairs
+# are inverted, so a sequence longer than this is refused before any work
+_MAX_LENGTH = 10_000
 
 
 def bott(gamma: Sequence[int]) -> tuple[int, tuple[int, ...]] | tuple[None, None]:
     """Run Bott's algorithm on an integer sequence gamma: (degree, dominant
     weight), or (None, None) when the cohomology vanishes."""
     n = len(gamma)
+    if n > _MAX_LENGTH:
+        raise ValueError(f"bott takes at most {_MAX_LENGTH} entries, got {n}")
     rho = range(n - 1, -1, -1)
     v = list(map(add, gamma, rho))
     if len(set(v)) < n:

@@ -54,7 +54,7 @@ def corrupt_composed(monkeypatch):
 
     def corrupt(bad_n, bad_k):
         real = ly._composed_factors
-        extra = [(QPoly.const(1), QPoly.q(comb(bad_n, 2) - comb(bad_n - 2 * bad_k, 2) + 1))]
+        extra = [(QPoly({0: 1}), QPoly.q(comb(bad_n, 2) - comb(bad_n - 2 * bad_k, 2) + 1))]
 
         def corrupted(n, k):
             return real(n, k) + (extra if (n, k) == (bad_n, bad_k) else [])
@@ -483,6 +483,7 @@ class TestCli:
             # sizes past sys.maxsize fail before anything is allocated
             ["gaussian", "--a", "100000000000000000000", "--b", "1"],
             ["lyubeznik", "--n", "200000000000000000000", "--k", "1"],
+            ["bott", "--gamma=" + ",".join(["0"] * 10_001)],  # a sequence past bott's length limit
         ],
     )
     def test_malformed_arguments_exit_2_in_one_line(self, argv, capsys):
