@@ -130,6 +130,14 @@ MUTANTS = [
     ("cli.py", "    if argv is None:  # this", "    gc.freeze()\n    if argv is None:  # this", "test_package.py"),
     # the annotation's Mapping from typing again: every table command loads typing, re and enum
     ("polyring.py", "from collections.abc import Mapping", "from typing import Mapping", "test_package.py"),
+    # the annotation's Sequence from typing again: bott loads typing, re and enum
+    ("weights_bott.py", "from collections.abc import Sequence", "from typing import Sequence", "test_package.py"),
+    # a sum keeps the term that cancels: q - q has a zero coefficient, and equals no zero polynomial
+    ("polyring.py", "            else:\n                data.pop(e, None)", "            else:\n                data[e] = s", "test_polyring.py"),
+    # a repeated option keeps its first value, not its last
+    ("cli.py", "given[option] = value if eq else next(words, None)", "given.setdefault(option, value if eq else next(words, None))", "test_lyubeznik.py"),
+    # the Bott suite's shift q^(2s+2), not q^(2s): the odd origin factor of D_s is checked against the wrong one
+    ("verify.py", "QPoly.q(2 * (m - p)) * h0_D_even", "QPoly.q(2 * (m - p) + 2) * h0_D_even", "test_weights_bott.py"),
     # the CSV cell template separates j from lambda by ";"
     ("lyubeznik.py", '"\\0,%d,%%d\\n"', '"\\0,%d;%%d\\n"', "test_lyubeznik.py"),
     # JSON table entries joined by "," with no space

@@ -133,11 +133,11 @@ def _ext_checks(m_max: int):
 def _bott_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m + 1):
-            degree = weights_bott.verify_pushforward(m, p)
-            # the odd origin factor of D_s, s = m - p, is the even one shifted by that degree
+            weights_bott.verify_pushforward(m, p)
+            # D_s's odd origin factor, s = m - p, is the even one times q^(2s): the lemma puts every survivor in degree 2s
             _require(
-                h0_D_odd(m, m - p) == QPoly.q(degree) * h0_D_even(m, m - p),
-                f"odd origin factor of D_{m - p} at m={m} is not the even one shifted by q^{degree}",
+                h0_D_odd(m, m - p) == QPoly.q(2 * (m - p)) * h0_D_even(m, m - p),
+                f"odd origin factor of D_{m - p} at m={m} is not the even one shifted by q^{2 * (m - p)}",
             )
             yield
 

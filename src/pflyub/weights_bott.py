@@ -105,7 +105,7 @@ def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(h + t for h in heads for t in tails)
 
 
-def verify_pushforward(m: int, p: int) -> int:
+def verify_pushforward(m: int, p: int) -> None:
     """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
 
     For every lambda in the window of B(s, 2m), s = m-p, with entries of
@@ -133,8 +133,7 @@ def verify_pushforward(m: int, p: int) -> int:
     fail; at 2m+1, p = 0 keeps one.  A window with no survivor checks nothing
     and fails.
 
-    Returns the degree 2m-2p that the window landed in, and raises
-    VerificationError naming the offending weight on any failure.
+    Raises VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
@@ -161,4 +160,3 @@ def verify_pushforward(m: int, p: int) -> int:
     missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 1) if w not in images]
     if missing:
         raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")
-    return expected_degree

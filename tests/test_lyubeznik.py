@@ -113,14 +113,9 @@ def _exponent(poly, e):
     return sorted(poly.terms())[e]
 
 
-def _lowest_exponents(factors, s):
-    a, b = factors[s]
-    return min(a.terms()), min(b.terms())
-
-
 # name: (left side, right side, three values for each of the three variables)
 _EXPONENT_IDENTITIES = {
-    # the odd origin factor of D_s is the even one times q^(2s), the degree verify_pushforward(m, m - s) lands in
+    # the odd origin factor of D_s is the even one times q^(2s), the degree of every survivor in verify_pushforward
     "odd origin shift": (
         lambda m, s, e: _exponent(h0_D_odd(m, s), e),
         lambda m, s, e: 2 * s + _exponent(h0_D_even(m, s), e),
@@ -130,19 +125,6 @@ _EXPONENT_IDENTITIES = {
     "h0_Q against the box": (
         lambda m, a, e: _exponent(ext_mult.ext_series_enum(m, a, 2 * a - 1).reverse(comb(2 * m, 2)), e),
         lambda m, a, e: _exponent(h0_Q(m, a - 1), e),
-        ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
-    ),
-    # the same regrading as written: box size e at C(2m,2) - C(2a-2,2) - 4(a-1) - 4e, reversed in C(2m,2),
-    # against h0_Q's q^(p(2p+3)) times q^(4e), p = a - 1; so C(2p, 2) + 4p = p(2p + 3)
-    "Ext regrading": (
-        lambda m, a, e: comb(2 * m, 2) - (comb(2 * m, 2) - comb(2 * a - 2, 2) - 4 * (a - 1) - 4 * e),
-        lambda m, a, e: (a - 1) * (2 * (a - 1) + 3) + 4 * e,
-        ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
-    ),
-    # the lowest exponents of a_s and b_s, composed and closed, for n = 2m and 2m + 1
-    "closed and composed factors": (
-        lambda m, k, s: [_lowest_exponents(ly._composed_factors(n, k), s) for n in (2 * m, 2 * m + 1)],
-        lambda m, k, s: [_lowest_exponents(_closed_factors(n, k), s) for n in (2 * m, 2 * m + 1)],
         ((6, 7, 8), (2, 3, 4), (0, 1, 2)),
     ),
 }

@@ -55,6 +55,14 @@ def test_table_commands_skip_the_verification_modules(argv):
     assert proc.stderr.strip() == "loaded: []"
 
 
+def test_bott_loads_weights_bott_alone():
+    # of the modules the guard lists, bott loads weights_bott alone; it also needs partitions and polyring
+    proc = run_python("-S", "-c", GUARD, "bott", "--gamma=-3,-3,0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "degree 2, weight -2,-2,-2\n"
+    assert proc.stderr.strip() == "loaded: ['pflyub.weights_bott']"
+
+
 def test_verify_runs_without_dataclasses():
     proc = run_python("-c", GUARD, "verify", "--n-max", "2")
     assert proc.returncode == 0, proc.stderr
