@@ -10,7 +10,10 @@ read as every mutant killed, so the script prints pytest's output, with the
 failing values, and exits 1.  Then, for each mutant, it applies the
 replacement in a fresh copy (the replacement must match exactly once), runs
 ``tests/test_acceptance.py`` plus the mutant's test file with
-``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  Every
+``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  A
+mutant's run that lasts longer than ``TIME_LIMIT`` times the baseline's wall
+time is stopped and printed as ``killed (timeout)``: a mutant that makes a
+test loop forever is detected, not waited for.  Every
 run, the baseline too, passes ``--hypothesis-seed=0`` in a copy with no
 example database, so Hypothesis draws the same examples each time and the
 verdict no longer depends on the draw.  The mutants run concurrently, at most
@@ -24,10 +27,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a mutant's run may take this many times the baseline's wall time; the baseline
+# runs every mutant's test file, so an unhung mutant's run takes less
+TIME_LIMIT = 10
 
 # (module in src/pflyub, text, replacement, test file); each breaks one check
 # that tier-1 makes once, in the session verify report or in one test
@@ -148,13 +155,39 @@ MUTANTS = [
     ("lyubeznik.py", '["$0$"] * len(cols)', '["$$"] * len(cols)', "test_lyubeznik.py"),
     # the LaTeX entry cell out of math mode
     ("lyubeznik.py", 'row[column[j]] = "$%d$"', 'row[column[j]] = "%d"', "test_lyubeznik.py"),
+    # each input guard's raise deleted: the refusal that a later check would make names something else, or none comes
+    # a negative power answered: p ** -1 squares without end, and the run is stopped at its time limit
+    ("polyring.py", 'raise ValueError("only nonnegative', 'ValueError("only nonnegative', "test_polyring.py"),
+    # gaussian --power -1 answers with negative exponents
+    ("partitions.py", 'raise ValueError("substitution power', 'ValueError("substitution power', "test_lyubeznik.py"),
+    # a float argument fails later with a TypeError
+    ("partitions.py", 'raise ValueError("arguments must be integers")', 'ValueError("arguments must be integers")', "test_partitions.py"),
+    # the oracle answers zero for a negative b
+    ("partitions.py", 'raise ValueError(f"gaussian_binomial_oracle', 'ValueError(f"gaussian_binomial_oracle', "test_partitions.py"),
+    # each h0 family's index range: gaussian_binomial refuses instead, naming its own arguments
+    ("origin_localcoh.py", 'raise ValueError(f"require 0 <= k <= m-1', 'ValueError(f"require 0 <= k <= m-1', "test_origin_localcoh.py"),
+    ("origin_localcoh.py", 'raise ValueError(f"require 0 <= p <= m-1', 'ValueError(f"require 0 <= p <= m-1', "test_origin_localcoh.py"),
+    ("origin_localcoh.py", 'raise ValueError(f"require 0 <= s <= m,', 'ValueError(f"require 0 <= s <= m,', "test_origin_localcoh.py"),
+    ("origin_localcoh.py", 'raise ValueError(f"require 0 <= p <= m,', 'ValueError(f"require 0 <= p <= m,', "test_origin_localcoh.py"),
+    # an option with no value at the end reads as left out: "--k is required"
+    ("cli.py", 'raise ValueError(f"{command}: --{option} expects', 'ValueError(f"{command}: --{option} expects', "test_lyubeznik.py"),
+    # in_D's s range: in_B refuses instead, naming its own s and n
+    ("characters.py", 'raise ValueError(f"require 0 <= s <= m,', 'ValueError(f"require 0 <= s <= m,', "test_characters.py"),
+    # verify_limitpfaff's k range (in_pole repeats it; the next line tells the two apart): m < 0 fails in the window's
+    # enumeration, "r must be non-negative"
+    ("characters.py", 'raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")\n    e_max', 'ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")\n    e_max', "test_characters.py"),
+    # verify_pushforward's p range: enumerate_B refuses instead, naming its own s and n
+    ("weights_bott.py", 'raise ValueError(f"require 0 <= p <= m,', 'ValueError(f"require 0 <= p <= m,', "test_weights_bott.py"),
 ]
 
 
-def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subprocess.CompletedProcess | str:
+def pytest(
+    tests: list[str], mutant: tuple[str, str, str] | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess | str:
     """``pytest -x`` over the acceptance file and ``tests`` in a temporary copy,
     with ``mutant`` (module, text, replacement) applied, or the replacement's
-    match count if it does not match exactly once."""
+    match count if it does not match exactly once; ``subprocess.TimeoutExpired``
+    once the run outlasts ``timeout`` seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
@@ -178,28 +211,34 @@ def pytest(tests: list[str], mutant: tuple[str, str, str] | None = None) -> subp
             env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
             capture_output=True,
             text=True,
+            timeout=timeout,
         )
 
 
-def run(module: str, old: str, new: str, tests: str) -> str:
-    result = pytest([tests], (module, old, new))
+def run(module: str, old: str, new: str, tests: str, timeout: float) -> str:
+    try:
+        result = pytest([tests], (module, old, new), timeout)
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)"
     if isinstance(result, str):
         return result
     return {0: "survived", 1: "killed"}.get(result.returncode, f"pytest exit {result.returncode}")
 
 
 def main() -> int:
+    start = time.monotonic()
     baseline = pytest(sorted({tests for *_, tests in MUTANTS}))
+    timeout = TIME_LIMIT * (time.monotonic() - start)
     if baseline.returncode:
         print(baseline.stdout + baseline.stderr, end="")
         print(f"baseline failed (pytest exit {baseline.returncode}): the unmutated tests must pass", flush=True)
         return 1
-    print("baseline passed: the unmutated tests pass", flush=True)
+    print(f"baseline passed: the unmutated tests pass; each mutant's run is stopped after {timeout:.0f} s", flush=True)
     failed = False
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        for (module, old, new, tests), outcome in zip(MUTANTS, pool.map(lambda mutant: run(*mutant), MUTANTS)):
+        for (module, old, new, tests), outcome in zip(MUTANTS, pool.map(lambda mutant: run(*mutant, timeout), MUTANTS)):
             print(f"{outcome}: {module}: {old!r} -> {new!r}", flush=True)
-            failed |= outcome != "killed"
+            failed |= not outcome.startswith("killed")
     return 1 if failed else 0
 
 

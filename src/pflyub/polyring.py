@@ -41,9 +41,6 @@ class QPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: QPoly | int) -> QPoly:

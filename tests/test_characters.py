@@ -76,6 +76,11 @@ class TestSimpleD:
         for mu in window(3, -4, 4):
             assert in_D(mu, 1) == in_B(dual(mu), 2)
 
+    def test_range(self):
+        # named in s and m, not in the B-set's s and n that it calls
+        with pytest.raises(ValueError, match=r"^require 0 <= s <= m, got s=3, m=2$"):
+            in_D((0,) * 4, 3)
+
 
 class TestVerifyLimitPfaff:
     def test_clamping_keeps_every_answer_and_the_e_step(self):
@@ -125,8 +130,10 @@ class TestVerifyLimitPfaff:
             ch.verify_limitpfaff(1, 0)
 
     def test_bad_range(self):
-        with pytest.raises(ValueError):
-            verify_limitpfaff(2, 2)
+        # in_pole's own check repeats these words for m >= 0; at m < 0 the window's enumeration would refuse first
+        for m, k in ((2, 2), (-1, 0)):
+            with pytest.raises(ValueError, match=rf"^require 0 <= k <= m-1, got k={k}, m={m}$"):
+                verify_limitpfaff(m, k)
 
     def test_corrupted_membership_is_caught(self, monkeypatch):
         import pflyub.characters as ch

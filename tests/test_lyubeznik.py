@@ -390,6 +390,71 @@ class TestVerifyAll:
             verify_all(1)
 
 
+_CHOICES = "(lyubeznik, genfun, localcoh, gaussian, bott, verify)"
+# (argv, the refusal after "error: "); the ids argv0, argv1, ... follow this order
+_REFUSALS = [
+    # a non-integer value
+    (["lyubeznik", "--n", "six", "--k", "1"], "lyubeznik: --n: invalid int value 'six'"),
+    (["lyubeznik", "--n=", "--k", "1"], "lyubeznik: --n: invalid int value ''"),
+    # a bad choice
+    (
+        ["lyubeznik", "--n", "6", "--k", "1", "--format", "xml"],
+        "lyubeznik: --format: invalid choice 'xml' (choose from json, csv, latex)",
+    ),
+    (
+        ["localcoh", "--parity", "even", "--m", "3", "--object", "E", "--index", "1"],
+        "localcoh: --object: invalid choice 'E' (choose from Q, D, pfpole)",
+    ),
+    # an unknown option
+    (["gaussian", "--a", "4", "--b", "2", "--q", "4"], "gaussian: unrecognized argument '--q'"),
+    (["gaussian", "--a", "4", "--b", "2", "-power", "4"], "gaussian: unrecognized argument '-power'"),
+    (["gaussian", "--a", "4", "--b", "2", "--help=yes"], "gaussian: unrecognized argument '--help=yes'"),
+    # a stray positional word
+    (["lyubeznik", "6", "--n", "6", "--k", "1"], "lyubeznik: unrecognized argument '6'"),
+    (["lyubeznik", "--n", "6", "--k", "1", "--"], "lyubeznik: unrecognized argument '--'"),
+    # a value missing at the end: without its guard, the option reads as left out
+    (["lyubeznik", "--n", "6", "--k"], "lyubeznik: --k expects a value"),
+    # a required option left out
+    (["localcoh", "--parity", "even", "--m", "3", "--object", "Q"], "localcoh: --index is required"),
+    (["bott"], "bott: --gamma is required"),
+    # no command at all, or an unknown one
+    ([], f"expected a command {_CHOICES}, got None"),
+    (["table", "--n", "6", "--k", "1"], f"expected a command {_CHOICES}, got 'table'"),
+    (["--n", "6", "--k", "1"], f"expected a command {_CHOICES}, got '--n'"),
+    # abbreviations are refused
+    (["lyubeznik", "--n", "6", "--k", "1", "--form", "csv"], "lyubeznik: unrecognized argument '--form'"),
+    (["verify", "--n", "4"], "verify: unrecognized argument '--n'"),
+    (["gaussian", "--a", "4", "--b", "2", "--POWER", "4"], "gaussian: unrecognized argument '--POWER'"),
+    # a family the parity lacks
+    (["localcoh", "--parity", "odd", "--m", "2", "--object", "Q", "--index", "0"], "no Q family on the odd side"),
+    # a value out of range
+    (["lyubeznik", "--n", "6", "--k", "9"], "require 0 <= k <= floor(n/2)-1, got k=9, n=6"),
+    (["gaussian", "--a", "1", "--b", "2"], "gaussian_binomial requires a >= b >= 0, got (1, 2)"),
+    # sizes past sys.maxsize fail before anything is allocated
+    (
+        ["gaussian", "--a", "100000000000000000000", "--b", "1"],
+        "binomial(100000000000000000000, 1) has degree 99999999999999999999, above the limit 10000",
+    ),
+    (["lyubeznik", "--n", "200000000000000000000", "--k", "1"], "require 2 <= n <= 56, got n=200000000000000000000"),
+    # a sequence past bott's length limit
+    (["bott", "--gamma=" + ",".join(["0"] * 10_001)], "bott takes at most 10000 entries, got 10001"),
+    # without its guard, --power -1 answers with negative exponents
+    (["gaussian", "--a", "5", "--b", "2", "--power", "-1"], "substitution power must be a positive integer"),
+    (["gaussian", "--a", "5", "--b", "2", "--power", "0"], "substitution power must be a positive integer"),
+    # an --index out of range is refused in the index's own words, not in a binomial's
+    (
+        ["localcoh", "--parity", "even", "--m", "3", "--object", "pfpole", "--index", "3"],
+        "require 0 <= k <= m-1, got k=3, m=3",
+    ),
+    (
+        ["localcoh", "--parity", "even", "--m", "3", "--object", "Q", "--index", "3"],
+        "require 0 <= p <= m-1, got p=3, m=3",
+    ),
+    (["localcoh", "--parity", "even", "--m", "2", "--object", "D", "--index", "3"], "require 0 <= s <= m, got s=3, m=2"),
+    (["localcoh", "--parity", "odd", "--m", "2", "--object", "D", "--index", "-1"], "require 0 <= p <= m, got p=-1, m=2"),
+]
+
+
 class TestCli:
     def test_table_bytes_match_the_pinned_digests(self, monkeypatch, verify_report):
         # tests/output_digests.py --check covers every admitted table; tier-1 reads the table lines
@@ -437,42 +502,16 @@ class TestCli:
         assert main(["bott", "--gamma", "not,numbers"]) == 2
         assert capsys.readouterr().err == "error: bott: --gamma: invalid int list 'not,numbers'\n"
 
-    # each malformed or out-of-range command line is refused by a ValueError, not a SystemExit
+    # each malformed or out-of-range command line is refused by a ValueError, not a SystemExit,
+    # in one line that names what the caller passed
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["lyubeznik", "--n", "six", "--k", "1"],  # a non-integer value
-            ["lyubeznik", "--n=", "--k", "1"],
-            ["lyubeznik", "--n", "6", "--k", "1", "--format", "xml"],  # a bad choice
-            ["localcoh", "--parity", "even", "--m", "3", "--object", "E", "--index", "1"],
-            ["gaussian", "--a", "4", "--b", "2", "--q", "4"],  # an unknown option
-            ["gaussian", "--a", "4", "--b", "2", "-power", "4"],
-            ["gaussian", "--a", "4", "--b", "2", "--help=yes"],
-            ["lyubeznik", "6", "--n", "6", "--k", "1"],  # a stray positional word
-            ["lyubeznik", "--n", "6", "--k", "1", "--"],
-            ["lyubeznik", "--n", "6", "--k"],  # a value missing at the end
-            ["localcoh", "--parity", "even", "--m", "3", "--object", "Q"],  # a required option left out
-            ["bott"],
-            [],  # no command at all
-            ["table", "--n", "6", "--k", "1"],  # an unknown command
-            ["--n", "6", "--k", "1"],
-            ["lyubeznik", "--n", "6", "--k", "1", "--form", "csv"],  # abbreviations are refused
-            ["verify", "--n", "4"],
-            ["gaussian", "--a", "4", "--b", "2", "--POWER", "4"],
-            ["localcoh", "--parity", "odd", "--m", "2", "--object", "Q", "--index", "0"],  # a family the parity lacks
-            ["lyubeznik", "--n", "6", "--k", "9"],  # a value out of range
-            ["gaussian", "--a", "1", "--b", "2"],
-            # sizes past sys.maxsize fail before anything is allocated
-            ["gaussian", "--a", "100000000000000000000", "--b", "1"],
-            ["lyubeznik", "--n", "200000000000000000000", "--k", "1"],
-            ["bott", "--gamma=" + ",".join(["0"] * 10_001)],  # a sequence past bott's length limit
-        ],
+        "argv, line",
+        _REFUSALS,
+        ids=[f"argv{i}" for i in range(len(_REFUSALS))],
     )
-    def test_malformed_arguments_exit_2_in_one_line(self, argv, capsys):
+    def test_malformed_arguments_exit_2_in_one_line(self, argv, line, capsys):
         assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_option_forms_agree(self, capsys):
         def out(argv):
@@ -599,5 +638,8 @@ def test_cli_answers_or_refuses_in_one_line(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2)
+    # a gaussian power below 1 is refused, not answered, unless a help flag answers first
+    if {"--power=-1", "--power=0"} & set(argv) and not {"-h", "--help"} & set(argv):
+        assert code == 2, argv
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()

@@ -30,7 +30,7 @@ class TestPfPoleFamily:
                 assert h0_pf_pole(m, k).terms().get(d, 0) == 0
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= k <= m-1, got k=3, m=3$"):
             h0_pf_pole(3, 3)
 
 
@@ -44,7 +44,7 @@ class TestQFamily:
         assert h0_Q(2, 1) == q(5)
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= p <= m-1, got p=3, m=3$"):
             h0_Q(3, 3)
 
 
@@ -58,7 +58,7 @@ class TestDEvenFamily:
         assert h0_D_even(2, 1) == q(1) + q(5)
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= s <= m, got s=3, m=2$"):
             h0_D_even(2, 3)
 
 
@@ -72,7 +72,7 @@ class TestDOddFamily:
         assert h0_D_odd(2, 1) == q(3) + q(7)
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= p <= m, got p=-1, m=2$"):
             h0_D_odd(2, -1)
 
 

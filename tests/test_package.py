@@ -230,7 +230,6 @@ print(json.dumps(sorted(unreached)))
 # The methods no command or benchmark path enters, each kept for a reason.
 UNREACHED_METHODS = [
     "lyubeznik.LyubeznikTable.__repr__",  # the text pytest shows for a failure
-    "polyring.QPoly.__len__",  # perfbench/spans.py counts term products with it
     "polyring.QPoly.__neg__",  # read by name in perfbench/spans.py
     "polyring.QPoly.__pow__",  # read by name in perfbench/spans.py
     "polyring.QPoly.__repr__",  # the text pytest shows for a failure

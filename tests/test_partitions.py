@@ -72,12 +72,14 @@ class TestGaussianBinomial:
                     assert g.to_json() == expected.to_json()
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gaussian_binomial(1, 2)
-        with pytest.raises(ValueError):
-            gaussian_binomial(-1, 0)
-        with pytest.raises(ValueError):
-            gaussian_binomial(3, -1)
+        for a, b in ((1, 2), (-1, 0), (3, -1)):
+            with pytest.raises(ValueError, match=rf"^gaussian_binomial requires a >= b >= 0, got \({a}, {b}\)$"):
+                gaussian_binomial(a, b)
+            # without its own check, the oracle answers zero for a negative b
+            with pytest.raises(ValueError, match=rf"^gaussian_binomial_oracle requires a >= b >= 0, got \({a}, {b}\)$"):
+                gaussian_binomial_oracle(a, b)
+        with pytest.raises(ValueError, match=r"^arguments must be integers$"):
+            gaussian_binomial(4.0, 2)
 
     def test_oracle_small(self):
         assert gaussian_binomial_oracle(2, 1) == QPoly({0: 1}) + QPoly.q(1)

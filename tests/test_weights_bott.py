@@ -112,7 +112,7 @@ class TestVerifyPushforward:
         assert [size for _, size in calls[1::2]] == [2, 4, 3, 32, 21, 4, 120, 330, 120, 5, 320, 2205, 2912, 715]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= p <= m, got p=3, m=2$"):
             verify_pushforward(2, 3)
 
     def test_failure_names_the_weight(self, monkeypatch):
