@@ -20,7 +20,7 @@ class QPoly:
         if terms:
             for e, c in terms.items():
                 if not (isinstance(e, int) and isinstance(c, int)) or bool in (type(e), type(c)):
-                    raise TypeError("exponents and coefficients must be integers, not bool")
+                    raise TypeError(f"exponents and coefficients must be integers, not bool, got {e!r}: {c!r}")
                 if c != 0:
                     data[e] = c
         self._terms = data

@@ -54,28 +54,17 @@ def _gaussian_checks(a_max: int):
                 g == gaussian_binomial_oracle(a, b),
                 f"binomial({a},{b}) disagrees with the box enumeration",
             )
-            _require(
-                g.reverse(b * (a - b)) == g,
-                f"binomial inversion fails at ({a},{b})",
-            )
-            if a > b > 0:
-                pascal = gaussian_binomial(a - 1, b - 1) + QPoly.q(b) * gaussian_binomial(a - 1, b)
-                _require(g == pascal, f"Pascal identity fails at ({a},{b})")
             yield
 
 
-def _kgroup_checks(m_max: int, m_max_grade: int):
+def _kgroup_checks(m_max: int, m_max_odd: int):
     for m in range(2, m_max + 1):
         for k in range(m - 1):
             even_Q, even_D = localcoh_class(2 * m, k), localcoh_class_even_D(m, k)
             _require(q_to_d(even_Q) == even_D, f"Q-to-D decomposition fails at (m={m}, k={k})")
             yield
-            if m > m_max_grade:
+            if m > m_max_odd:
                 continue
-            # the Q-class starts at the grade C(2m-2k, 2) of the rank <= 2k locus, S being Cohen-Macaulay; so does
-            # d_s = c_s + ... + c_m: none goes below the least q^e of the c_p, which d_p keeps for the last such p
-            lowest, codim = min(min(poly.terms()) for poly in even_Q if poly), comb(2 * m - 2 * k, 2)
-            _require(lowest == codim, f"Q-class grade at (n={2 * m}, k={k}) is {lowest}, not {codim}")
             # an identity between two closed forms: the odd class is the even
             # D-class with D_p shifted by q^(2(m-p)); so it starts at C(2m+1-2k, 2)
             odd = localcoh_class(2 * m + 1, k)
@@ -151,10 +140,11 @@ def _character_checks(m_max: int):
 
 def verify_all(n_max: int) -> dict:
     """Run every verification suite; the tables cover 2 <= n <= n_max, with
-    n_max at most ``_N_MAX``; the class and splice suites run to
-    m = max(their standard bound, n_max // 2), the other module property suites
-    at their standard ranges.  Returns a structured report; a suite stops at its
-    first failure, the others still run."""
+    n_max at most ``_N_MAX``; each binomial with a <= 14 is compared with the box;
+    the class decomposition and the splices run to m = max(10, n_max // 2), the
+    odd class tie to m = max(8, n_max // 2), the other suites at their standard
+    ranges.  Returns a structured report; a suite stops at its first failure,
+    the others still run."""
     if not 2 <= n_max <= _N_MAX:
         raise ValueError(f"require 2 <= n_max <= {_N_MAX}, got n_max={n_max}")
     m_max = n_max // 2

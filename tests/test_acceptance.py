@@ -58,7 +58,7 @@ def test_criterion_03_two_path_equality(verify_report):
 
 
 def test_criterion_04_kgroup_identities(verify_report):
-    _read(4, "basis decomposition m <= 10 and class grade m <= 8", 5.0, verify_report, "kgroup_identities", 73)
+    _read(4, "basis decomposition m <= 10 and odd class tie m <= 8", 5.0, verify_report, "kgroup_identities", 73)
 
 
 def test_criterion_05_origin_splices(verify_report):
@@ -74,7 +74,7 @@ def test_criterion_07_bott_pushforward(verify_report):
 
 
 def test_criterion_08_gaussian_identities(verify_report):
-    _read(8, "Gaussian binomial identities a <= 14", 2.0, verify_report, "gaussian_binomials", 120)
+    _read(8, "Gaussian binomials against the box a <= 14", 2.0, verify_report, "gaussian_binomials", 120)
 
 
 def test_criterion_09_character_limits(verify_report):

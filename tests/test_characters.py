@@ -21,11 +21,11 @@ class TestModuleN:
         assert not in_N(_doubled(tuple(v - 1 for v in nu)), k, e)
 
     def test_parity_and_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^N_\{k,e\} requires an even ambient size$"):
             in_N((0,) * 5, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= k <= m-1, got k=3, m=3$"):
             in_N((0,) * 6, 3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require e >= 1, got e=0$"):
             in_N((0,) * 6, 0, 0)
 
     def test_block_ends_match_componentwise_bound(self):
@@ -62,7 +62,7 @@ class TestPfPole:
         assert sets[0] < sets[1] < sets[2]
 
     def test_odd_parity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pole-order modules require an even ambient size$"):
             in_pole((0,) * 5, 0)
 
 

@@ -9,8 +9,7 @@ from pflyub.origin_localcoh import h0_Q
 from pflyub.polyring import QPoly
 
 
-def q(e):
-    return QPoly.q(e)
+q = QPoly.q
 
 
 class TestZPair:

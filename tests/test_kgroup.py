@@ -7,8 +7,7 @@ from pflyub.kgroup import localcoh_class, localcoh_class_even_D, q_to_d
 from pflyub.polyring import ZERO, QPoly
 
 
-def q(e):
-    return QPoly.q(e)
+q = QPoly.q
 
 
 def qclass(n, **coeffs):
@@ -74,7 +73,7 @@ class TestLocalCohClasses:
         for n, k in ((6, 3), (7, 3), (7, -1), (1, 0)):
             with pytest.raises(ValueError, match=rf"^require 0 <= k <= floor\(n/2\)-1, got k={k}, n={n}$"):
                 localcoh_class(n, k)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= k <= m-2, got k=2, m=3$"):
             localcoh_class_even_D(3, 2)  # k = m-1 is the dedicated branch
 
     def test_one_coefficient_per_basis_module(self):

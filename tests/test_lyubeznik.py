@@ -361,6 +361,20 @@ class TestVerifyAll:
         assert suite["error"] == "VerificationError: pushforward(m=2, p=1): injected"
         assert all(s["pass"] for s in report["suites"] if s["name"] != "bott_pushforward")
 
+    def test_corrupted_binomial_is_located_by_the_box(self, monkeypatch):
+        real = partitions._gauss
+
+        def broken(a, b):
+            coeffs = real(a, b)
+            return coeffs[:-1] + (coeffs[-1] + 1,) if (a, b) == (5, 2) else coeffs
+
+        monkeypatch.setattr(partitions, "_gauss", broken)
+        report = verify_all(4)
+        suite = next(s for s in report["suites"] if s["name"] == "gaussian_binomials")
+        assert suite["pass"] is False
+        assert suite["checked"] == 17  # every (a, b) before (5, 2)
+        assert suite["error"] == "VerificationError: binomial(5,2) disagrees with the box enumeration"
+
     def test_unexpected_exception_is_recorded(self, monkeypatch):
         def broken(m, a, b):
             raise TypeError("broken step")
@@ -386,7 +400,7 @@ class TestVerifyAll:
         assert failed["ext_series"]["error"] == "VerificationError: Ext series mismatch at (m=3, a=2, b=3)"
 
     def test_bad_n_max(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 2 <= n_max <= 56, got n_max=1$"):
             verify_all(1)
 
 

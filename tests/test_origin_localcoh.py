@@ -6,8 +6,7 @@ from pflyub.origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
 from pflyub.polyring import QPoly
 
 
-def q(e):
-    return QPoly.q(e)
+q = QPoly.q
 
 
 class TestPfPoleFamily:

@@ -1,13 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pflyub.polyring import ZERO, QPoly
-
-
-def poly(d):
-    return QPoly(d)
 
 
 def test_add_cancellation():
@@ -16,15 +13,15 @@ def test_add_cancellation():
 
 
 def test_add_identity():
-    p = poly({2: 3, 0: -5, -1: 4})
+    p = QPoly({2: 3, 0: -5, -1: 4})
     assert p + ZERO == p
     assert ZERO + p == p
 
 
 def test_add_disjoint_support():
-    a = poly({3: 1})
-    b = poly({7: 1})
-    assert a + b == poly({3: 1, 7: 1})
+    a = QPoly({3: 1})
+    b = QPoly({7: 1})
+    assert a + b == QPoly({3: 1, 7: 1})
 
 
 def test_mul_difference_of_squares():
@@ -38,9 +35,9 @@ def test_mul_laurent_inverse_monomial():
 
 def test_mul_square():
     p = QPoly({0: 1}) + QPoly.q(4)
-    assert p * p == poly({0: 1, 4: 2, 8: 1})
+    assert p * p == QPoly({0: 1, 4: 2, 8: 1})
     # powers by repeated squaring, of a non-monomial and to the zeroth power
-    assert (QPoly({0: 1}) + QPoly.q()) ** 3 == poly({0: 1, 1: 3, 2: 3, 3: 1})
+    assert (QPoly({0: 1}) + QPoly.q()) ** 3 == QPoly({0: 1, 1: 3, 2: 3, 3: 1})
     assert p ** 0 == QPoly({0: 1})
     for bad in (-1, 0.5):
         with pytest.raises(ValueError, match="nonnegative integer"):
@@ -55,17 +52,17 @@ def test_reverse():
 
 
 def test_zero_coefficients_never_stored():
-    p = poly({1: 0, 2: 5})
+    p = QPoly({1: 0, 2: 5})
     assert p.terms() == {2: 5}
     assert (p - p).terms() == {}
     assert not (p - p)
 
 
 def test_serialization_roundtrip():
-    p = poly({5: 2, -2: 7, 0: -1})
+    p = QPoly({5: 2, -2: 7, 0: -1})
     terms = [{"eq": -2, "ew": 0, "c": 7}, {"eq": 0, "ew": 0, "c": -1}, {"eq": 5, "ew": 0, "c": 2}]
     assert p.to_json() == json.dumps(terms)
-    assert poly({t["eq"]: t["c"] for t in json.loads(p.to_json())}) == p
+    assert QPoly({t["eq"]: t["c"] for t in json.loads(p.to_json())}) == p
     assert ZERO.to_json() == "[]" == json.dumps([])
 
 
@@ -76,20 +73,22 @@ def test_to_json_is_json_dumps_of_the_sorted_terms(p):
 
 
 def test_non_integer_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^exponents and coefficients must be integers, not bool, got 0: 1\.5$"):
         QPoly({0: 1.5})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^exponents and coefficients must be integers, not bool, got 0\.5: 1$"):
         QPoly({0.5: 1})
 
 
 @pytest.mark.parametrize("terms", [{0: True, 1: 2}, {True: 2}, {0: 1, 1: False}])
 def test_bool_exponent_or_coefficient_rejected(terms):
-    with pytest.raises(TypeError, match="not bool"):
+    e, c = next((e, c) for e, c in terms.items() if bool in (type(e), type(c)))
+    message = f"exponents and coefficients must be integers, not bool, got {e!r}: {c!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         QPoly(terms)
 
 
 def test_exponent_pair_keys_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^exponents and coefficients must be integers, not bool, got \(1, 0\): 1$"):
         QPoly({(1, 0): 1})
 
 

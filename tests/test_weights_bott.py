@@ -60,9 +60,9 @@ class TestEnumerateB:
 
     def test_bad_s(self):
         zero = (0,) * 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= s <= floor\(n/2\), got s=3, n=4$"):
             in_B(zero, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require 0 <= s <= floor\(n/2\), got s=-1, n=4$"):
             in_B(zero, -1)
 
     @pytest.mark.parametrize("s,n,bound", [(5, 4, 3), (3, 5, 10), (-1, 4, 3)])
