@@ -41,7 +41,10 @@ def h0_D_even(m: int, s: int) -> QPoly:
 
 def h0_D_odd(m: int, p: int) -> QPoly:
     """E-multiplicities of the origin local cohomology of the simple D_p
-    (n = 2m+1 odd): q^(p(2p+1)) * binom(m, p)_{q^4}."""
+    (n = 2m+1 odd).  It is the even D_p (n = 2m) pushed forward, and the
+    lemma of weights_bott.verify_pushforward puts every survivor of that
+    pushforward in degree 2p; so it is q^(2p) * h0_D_even(m, p), the closed
+    form q^(p(2p+1)) * binom(m, p)_{q^4}."""
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
-    return QPoly.q(p * (2 * p + 1)) * gaussian_binomial(m, p, power=4)
+    return QPoly.q(2 * p) * h0_D_even(m, p)

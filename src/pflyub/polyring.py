@@ -94,12 +94,8 @@ class QPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
         result = QPoly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def reverse(self, d: int) -> QPoly:

@@ -14,7 +14,7 @@ from . import characters, ext_mult, weights_bott
 from .errors import VerificationError
 from .kgroup import localcoh_class, localcoh_class_even_D, q_to_d
 from .lyubeznik import _N_MAX, build_table
-from .origin_localcoh import h0_D_even, h0_D_odd, h0_pf_pole, h0_Q
+from .origin_localcoh import h0_D_even, h0_pf_pole, h0_Q
 from .partitions import gaussian_binomial, gaussian_binomial_oracle
 from .polyring import QPoly
 
@@ -123,11 +123,6 @@ def _bott_checks(m_max: int):
     for m in range(1, m_max + 1):
         for p in range(m + 1):
             weights_bott.verify_pushforward(m, p)
-            # D_s's odd origin factor, s = m - p, is the even one times q^(2s): the lemma puts every survivor in degree 2s
-            _require(
-                h0_D_odd(m, m - p) == QPoly.q(2 * (m - p)) * h0_D_even(m, m - p),
-                f"odd origin factor of D_{m - p} at m={m} is not the even one shifted by q^{2 * (m - p)}",
-            )
             yield
 
 

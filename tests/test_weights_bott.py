@@ -67,7 +67,7 @@ class TestEnumerateB:
 
     @pytest.mark.parametrize("s,n,bound", [(5, 4, 3), (3, 5, 10), (-1, 4, 3)])
     def test_enumeration_rejects_bad_s(self, s, n, bound):
-        with pytest.raises(ValueError, match=r"require 0 <= s <= floor\(n/2\)"):
+        with pytest.raises(ValueError, match=rf"^require 0 <= s <= floor\(n/2\), got s={s}, n={n}$"):
             enumerate_B(s, n, bound)
 
 
