@@ -18,7 +18,8 @@ run, the baseline too, passes ``--hypothesis-seed=0`` in a copy with no
 example database, so Hypothesis draws the same examples each time and the
 verdict no longer depends on the draw.  The mutants run concurrently, at most
 one per CPU this process may use, since most of each run is pytest's start-up
-and collection; the results print in ``MUTANTS`` order.  It exits 1 on a
+and collection; the results print in ``MUTANTS`` order, then one line such as
+``71 of 71 mutants killed (0 by the time limit) in 40 s``.  It exits 1 on a
 survivor or a replacement that does not match exactly once.
 """
 
@@ -101,10 +102,14 @@ MUTANTS = [
     ("weights_bott.py", "_weakly_decreasing(s, 2 * s - 1, bound)][::-1]", "_weakly_decreasing(s, 2 * s - 1, bound)]", "test_weights_bott.py"),
     # Bott's algorithm on (lambda, 0), the 0 on the wrong side: (1, 1, 0) is dominant and lands in degree 0, not 2
     ("weights_bott.py", "bott((0,) + lam)", "bott(lam + (0,))", "test_weights_bott.py"),
-    # the pushforward's source window shrunk to 2m: at m = 1, p = 0 no weight survives
-    ("weights_bott.py", "bound = 2 * m + 2", "bound = 2 * m", "test_weights_bott.py"),
-    # the coverage window one past the sharp bound: (4, 4, 2) would need the source (5, 5)
-    ("weights_bott.py", "enumerate_B(m - p, 2 * m + 1, bound - 1)", "enumerate_B(m - p, 2 * m + 1, bound)", "test_weights_bott.py"),
+    # the pushforward's source window shrunk to 2m: every p = 0 window keeps no survivor
+    ("weights_bott.py", "bound = 2 * m + 1", "bound = 2 * m", "test_weights_bott.py"),
+    # the coverage window one past the sharp bound: (3, 3, 2) would need the source (4, 4)
+    ("weights_bott.py", "enumerate_B(s, 2 * m + 1, bound - 1)", "enumerate_B(s, 2 * m + 1, bound)", "test_weights_bott.py"),
+    # the lemma's vanishing half misses lambda_{2s} = 2s: Bott vanishes on (2, 2), the lemma does not
+    ("weights_bott.py", "lam[2 * s - 1] <= 2 * s", "lam[2 * s - 1] < 2 * s", "test_weights_bott.py"),
+    # the lemma's head not shifted down: (3, 3) would land at (3, 3, 2), Bott sends it to (2, 2, 2)
+    ("weights_bott.py", "tuple(x - 1 for x in lam[: 2 * s])", "tuple(x for x in lam[: 2 * s])", "test_weights_bott.py"),
     # each row without holes keeps its own js: rows with equal columns no longer share one
     ("lyubeznik.py", "canonical(tuple(js))", "tuple(js)", "test_lyubeznik.py"),
     # the shape cache closes over itself again: the output is the same, but each build leaves a reference cycle
@@ -232,12 +237,15 @@ def main() -> int:
         print(f"baseline failed (pytest exit {baseline.returncode}): the unmutated tests must pass", flush=True)
         return 1
     print(f"baseline passed: the unmutated tests pass; each mutant's run is stopped after {timeout:.0f} s", flush=True)
-    failed = False
+    outcomes = []
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         for (module, old, new, tests), outcome in zip(MUTANTS, pool.map(lambda mutant: run(*mutant, timeout), MUTANTS)):
             print(f"{outcome}: {module}: {old!r} -> {new!r}", flush=True)
-            failed |= not outcome.startswith("killed")
-    return 1 if failed else 0
+            outcomes.append(outcome)
+    killed = sum(outcome.startswith("killed") for outcome in outcomes)
+    timed_out = outcomes.count("killed (timeout)")
+    print(f"{killed} of {len(MUTANTS)} mutants killed ({timed_out} by the time limit) in {time.monotonic() - start:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

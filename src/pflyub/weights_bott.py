@@ -106,57 +106,56 @@ def enumerate_B(s: int, n: int, bound: int) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_pushforward(m: int, p: int) -> None:
-    """Check the pushforward pattern from 2m x 2m to (2m+1) x (2m+1) matrices.
+    """Check the pushforward lemma from 2m x 2m to (2m+1) x (2m+1) matrices.
 
     For every lambda in the window of B(s, 2m), s = m-p, with entries of
-    absolute value at most 2m+2, Bott's algorithm is applied to (0, lambda) in
-    length 2m+1, the dual of the paper's (dual(lambda), 0).  As dual(gamma) +
-    rho = (n-1, ..., n-1) minus the reversal of gamma + rho, Bott's algorithm
-    commutes with dual: the degree is the paper's, and the weight is the image
-    itself.  Every non-vanishing case must land in degree exactly 2m-2p with
-    image in B(s, 2m+1); the assignment must be injective, and it must cover
-    the entire B(s, 2m+1) window at 2m+1.
+    absolute value at most 2m+1, Bott's algorithm on (0, lambda) in length
+    2m+1, the dual of the paper's (dual(lambda), 0), must give the lemma's
+    answer below; each image must lie in B(s, 2m+1), and the images must cover
+    the B(s, 2m+1) window at 2m.  As dual(gamma) + rho = (n-1, ..., n-1) minus
+    the reversal of gamma + rho, Bott's algorithm commutes with dual: the
+    degree is the paper's, and the weight is the image itself.
 
-    The window is proved sufficient.  In (0, lambda) + rho only the leading
-    2m can be out of order; it belongs after each lambda_i > i and repeats
-    lambda_i + 2m - i when lambda_i = i.  For lambda in B(s, 2m) the entries
-    above their index are exactly lambda_1, ..., lambda_{2s}, and an entry
-    equals its index exactly when lambda_{2s} is 2s-1 or 2s (s >= 1), which
-    vanishes.  So every survivor lands in degree 2s with image
-    (lambda_1-1, ..., lambda_{2s}-1, 2s, lambda_{2s+1}, ..., lambda_{2m}), and
-    the inverse, which adds 1 to the first 2s entries and drops the 2s, is a
-    bijection of B(s, 2m+1) onto the survivors.  Sources with entries in
-    [-W, W] therefore reach every weight of B(s, 2m+1) with entries in
-    [-(W-1), W-1]; for s >= 1 the weight (W, W, ..., 2s, ...) at W would need
-    the entry W+1, so coverage is checked at W-1.  W = 2m+2 is the least
-    window at which every (m, p) keeps two survivors, so that injectivity can
-    fail; at 2m+1, p = 0 keeps one.  A window with no survivor checks nothing
-    and fails.
+    The lemma.  In (0, lambda) + rho only the leading 2m can be out of order;
+    it belongs after each lambda_i > i and repeats lambda_i + 2m - i when
+    lambda_i = i.  For lambda in B(s, 2m) the entries above their index are
+    exactly lambda_1, ..., lambda_{2s}, and an entry equals its index exactly
+    when lambda_{2s} is 2s-1 or 2s (s >= 1).  So (0, lambda) vanishes when
+    s >= 1 and lambda_{2s} <= 2s, and otherwise lands in degree 2s with image
+    (lambda_1-1, ..., lambda_{2s}-1, 2s, lambda_{2s+1}, ..., lambda_{2m}).
+    That map has an inverse, which adds 1 to the first 2s entries and drops
+    the 2s, so once Bott agrees with the lemma no two survivors share an image
+    and injectivity needs no check of its own.  The inverse is a bijection of
+    B(s, 2m+1) onto the survivors, so sources with entries in [-W, W] reach
+    every weight of B(s, 2m+1) with entries in [-(W-1), W-1]; for s >= 1 the
+    weight (W, W, ..., 2s, ...) at W would need the entry W+1, so coverage is
+    checked at W-1.  W = 2m+1 is the least window at which every (m, p) keeps
+    a survivor: at p = 0 it keeps exactly (2m+1, ..., 2m+1), and at 2m none.
+    A window with no survivor checks nothing and fails.
 
     Raises VerificationError naming the offending weight on any failure.
     """
     if not 0 <= p <= m:
         raise ValueError(f"require 0 <= p <= m, got p={p}, m={m}")
-    bound = 2 * m + 2
-    expected_degree = 2 * m - 2 * p
-    images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for lam in enumerate_B(m - p, 2 * m, bound):
-        degree, image = bott((0,) + lam)
-        if degree is None:
+    s = m - p
+    bound = 2 * m + 1
+    images: set[tuple[int, ...]] = set()
+    for lam in enumerate_B(s, 2 * m, bound):
+        if s and lam[2 * s - 1] <= 2 * s:
+            lemma = None, None
+        else:
+            lemma = 2 * s, tuple(x - 1 for x in lam[: 2 * s]) + (2 * s,) + lam[2 * s :]
+        answer = bott((0,) + lam)
+        if answer != lemma:
+            raise VerificationError(f"pushforward(m={m}, p={p}): Bott sends {lam} to {answer}, the lemma to {lemma}")
+        image = lemma[1]
+        if image is None:
             continue
-        if degree != expected_degree:
-            raise VerificationError(
-                f"pushforward(m={m}, p={p}): {lam} lands in degree {degree}, expected {expected_degree}"
-            )
-        if not in_B(image, m - p):
-            raise VerificationError(
-                f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({m - p}, {2 * m + 1})"
-            )
-        if image in images:
-            raise VerificationError(f"pushforward(m={m}, p={p}): {lam} and {images[image]} share the image {image}")
-        images[image] = lam
+        if not in_B(image, s):
+            raise VerificationError(f"pushforward(m={m}, p={p}): image {image} of {lam} is not in B({s}, {2 * m + 1})")
+        images.add(image)
     if not images:
         raise VerificationError(f"pushforward(m={m}, p={p}): no weight of the window survives")
-    missing = [w for w in enumerate_B(m - p, 2 * m + 1, bound - 1) if w not in images]
+    missing = [w for w in enumerate_B(s, 2 * m + 1, bound - 1) if w not in images]
     if missing:
         raise VerificationError(f"pushforward(m={m}, p={p}): window weight {missing[0]} has no preimage")

@@ -70,7 +70,7 @@ def test_criterion_06_ext_oracle(verify_report):
 
 
 def test_criterion_07_bott_pushforward(verify_report):
-    _read(7, "pushforward degrees and window bijection m <= 4", 10.0, verify_report, "bott_pushforward", 14)
+    _read(7, "pushforward lemma and its coverage m <= 4", 10.0, verify_report, "bott_pushforward", 14)
 
 
 def test_criterion_08_gaussian_identities(verify_report):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -88,7 +89,7 @@ class TestVerifyPushforward:
 
     def test_suite_windows(self, monkeypatch):
         # the windows that verify's bott_pushforward enumerates, m <= 4 and p = 0..m:
-        # the sources of B(m-p, 2m) at 2m+2, then the coverage of B(m-p, 2m+1) at 2m+1,
+        # the sources of B(m-p, 2m) at 2m+1, then the coverage of B(m-p, 2m+1) at 2m,
         # the windows that verify_pushforward's lemma proves sufficient and sharp
         import pflyub.weights_bott as wb
         from pflyub.verify import _bott_checks
@@ -104,12 +105,12 @@ class TestVerifyPushforward:
         monkeypatch.setattr(wb, "enumerate_B", recorded)
         assert sum(1 for _ in _bott_checks(4)) == 14
         pairs = [(m, p) for m in range(1, 5) for p in range(m + 1)]
-        assert [args for args, _ in calls[0::2]] == [(m - p, 2 * m, 2 * m + 2) for m, p in pairs]
-        assert [args for args, _ in calls[1::2]] == [(m - p, 2 * m + 1, 2 * m + 1) for m, p in pairs]
+        assert [args for args, _ in calls[0::2]] == [(m - p, 2 * m, 2 * m + 1) for m, p in pairs]
+        assert [args for args, _ in calls[1::2]] == [(m - p, 2 * m + 1, 2 * m) for m, p in pairs]
         even = [size for _, size in calls[0::2]]
-        assert even == [4, 5, 10, 53, 28, 20, 267, 517, 165, 35, 931, 4200, 4459, 1001]
-        assert sum(even) == 11_695
-        assert [size for _, size in calls[1::2]] == [2, 4, 3, 32, 21, 4, 120, 330, 120, 5, 320, 2205, 2912, 715]
+        assert even == [3, 4, 6, 39, 21, 10, 175, 375, 120, 15, 545, 2842, 3198, 715]
+        assert sum(even) == 8_068
+        assert [size for _, size in calls[1::2]] == [1, 3, 1, 21, 15, 1, 66, 225, 84, 1, 150, 1365, 2002, 495]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^require 0 <= p <= m, got p=3, m=2$"):
@@ -120,84 +121,52 @@ class TestVerifyPushforward:
 
         real_bott = wb.bott
 
-        def corrupted(gamma):
+        def late(gamma):
+            # every nonzero degree one too high
             degree, weight = real_bott(gamma)
-            if not degree:
-                return degree, weight
-            return degree + 1, weight
+            return (degree + 1 if degree else degree), weight
 
-        monkeypatch.setattr(wb, "bott", corrupted)
-        with pytest.raises(VerificationError, match="degree"):
-            wb.verify_pushforward(1, 0)
+        def answering(gamma):
+            # a vanishing source lands in degree 0 at itself
+            degree, weight = real_bott(gamma)
+            return (0, tuple(gamma)) if degree is None else (degree, weight)
+
+        for corrupted, message in (
+            (late, "Bott sends (3, 3) to (3, (2, 2, 2)), the lemma to (2, (2, 2, 2))"),
+            (answering, "Bott sends (1, 1) to (0, (0, 1, 1)), the lemma to (None, None)"),
+        ):
+            monkeypatch.setattr(wb, "bott", corrupted)
+            with pytest.raises(VerificationError, match=f"^{re.escape('pushforward(m=1, p=0): ' + message)}$"):
+                wb.verify_pushforward(1, 0)
+
+    @staticmethod
+    def _sources(monkeypatch, window):
+        """verify_pushforward reads ``window`` as its sources, and the real coverage window."""
+        import pflyub.weights_bott as wb
+
+        real = wb.enumerate_B
+        monkeypatch.setattr(wb, "enumerate_B", lambda s, n, bound: real(s, n, bound) if n % 2 else window)
 
     def test_image_outside_B_is_named(self, monkeypatch):
-        import pflyub.weights_bott as wb
-
-        real_bott = wb.bott
-
-        def corrupted(gamma):
-            # raise the image's first entry by one
-            degree, weight = real_bott(gamma)
-            if not degree:
-                return degree, weight
-            return degree, (weight[0] + 1,) + weight[1:]
-
-        monkeypatch.setattr(wb, "bott", corrupted)
+        # (4, 3) is outside B(1, 2), and Bott agrees with the lemma on it
+        self._sources(monkeypatch, ((4, 3),))
         with pytest.raises(
-            VerificationError,
-            match=r"image \(3, 2, 2\) of \(3, 3\) is not in B\(1, 3\)",
+            VerificationError, match=r"^pushforward\(m=1, p=0\): image \(3, 2, 2\) of \(4, 3\) is not in B\(1, 3\)$"
         ):
-            wb.verify_pushforward(1, 0)
-
-    def test_shared_image_is_named(self, monkeypatch):
-        import pflyub.weights_bott as wb
-
-        real_bott = wb.bott
-        first = []
-
-        def corrupted(gamma):
-            # every non-vanishing case lands on the first one's weight
-            degree, weight = real_bott(gamma)
-            if degree is None:
-                return degree, weight
-            first.append(weight)
-            return degree, first[0]
-
-        monkeypatch.setattr(wb, "bott", corrupted)
-        with pytest.raises(
-            VerificationError,
-            match=r"\(4, 4\) and \(3, 3\) share the image \(2, 2, 2\)",
-        ):
-            wb.verify_pushforward(1, 0)
+            verify_pushforward(1, 0)
 
     def test_missing_preimage_is_named(self, monkeypatch):
-        import pflyub.weights_bott as wb
-
-        real_bott = wb.bott
-        seen = []
-
-        def corrupted(gamma):
-            # the first non-vanishing case vanishes instead
-            degree, weight = real_bott(gamma)
-            if degree is not None and not seen:
-                seen.append(gamma)
-                return None, None
-            return degree, weight
-
-        monkeypatch.setattr(wb, "bott", corrupted)
+        self._sources(monkeypatch, tuple(lam for lam in enumerate_B(0, 2, 3) if lam != (0, 0)))
         with pytest.raises(
-            VerificationError,
-            match=r"window weight \(2, 2, 2\) has no preimage",
+            VerificationError, match=r"^pushforward\(m=1, p=1\): window weight \(0, 0, 0\) has no preimage$"
         ):
-            wb.verify_pushforward(1, 0)
+            verify_pushforward(1, 1)
 
     def test_window_with_no_survivor_fails(self, monkeypatch):
-        import pflyub.weights_bott as wb
-
-        # every case vanishes: the injectivity and coverage checks would have nothing to read
-        monkeypatch.setattr(wb, "bott", lambda gamma: (None, None))
+        # both sources vanish: the coverage check would have nothing to read
+        self._sources(monkeypatch, ((1, 1), (2, 2)))
         with pytest.raises(VerificationError, match=r"^pushforward\(m=1, p=0\): no weight of the window survives$"):
-            wb.verify_pushforward(1, 0)
+            verify_pushforward(1, 0)
 
 
 def test_bott_matches_brute_force():
