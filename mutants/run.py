@@ -3,11 +3,12 @@ tier-1 tests must detect.
 
     python3 mutants/run.py
 
-Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory.  The first run, the baseline, runs ``tests/test_acceptance.py``
-plus every mutant's test file on the unmutated copy: a failure there would
-read as every mutant killed, so the script prints pytest's output, with the
-failing values, and exits 1.  Then, for each mutant, it applies the
+Each run copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+(whose examples ``tests/test_readme.py`` and ``tests/test_package.py`` run)
+to a temporary directory.  The first run, the baseline, runs
+``tests/test_acceptance.py`` plus every mutant's test file on the unmutated
+copy: a failure there would read as every mutant killed, so the script
+prints pytest's output, with the failing values, and exits 1.  Then, for each mutant, it applies the
 replacement in a fresh copy (the replacement must match exactly once), runs
 ``tests/test_acceptance.py`` plus the mutant's test file with
 ``pytest -x --assert=plain`` and prints ``killed`` or ``survived``.  A
@@ -19,7 +20,7 @@ example database, so Hypothesis draws the same examples each time and the
 verdict no longer depends on the draw.  The mutants run concurrently, at most
 one per CPU this process may use, since most of each run is pytest's start-up
 and collection; the results print in ``MUTANTS`` order, then one line such as
-``71 of 71 mutants killed (0 by the time limit) in 40 s``.  It exits 1 on a
+``93 of 93 mutants killed (0 by the time limit) in 60 s``.  It exits 1 on a
 survivor or a replacement that does not match exactly once.
 """
 
@@ -181,6 +182,40 @@ MUTANTS = [
     ("characters.py", 'raise ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")\n    e_max', 'ValueError(f"require 0 <= k <= m-1, got k={k}, m={m}")\n    e_max', "test_characters.py"),
     # verify_pushforward's p range: enumerate_B refuses instead, naming its own s and n
     ("weights_bott.py", 'raise ValueError(f"require 0 <= p <= m,', 'ValueError(f"require 0 <= p <= m,', "test_weights_bott.py"),
+    # the command line's guards: an unknown command, option, choice or family, or a value left out or
+    # not an integer, goes on and fails later as an internal error (exit 3), or is answered (exit 0);
+    # a "raise ... from None" is replaced by "pass", since a bare "... from None" does not compile
+    ("cli.py", 'raise ValueError(f"expected a command', 'ValueError(f"expected a command', "test_lyubeznik.py"),
+    ("cli.py", 'raise ValueError(f"{command}: unrecognized', 'ValueError(f"{command}: unrecognized', "test_lyubeznik.py"),
+    ("cli.py", 'raise ValueError(f"{command}: --{option} is required', 'ValueError(f"{command}: --{option} is required', "test_lyubeznik.py"),
+    ("cli.py", 'raise ValueError(f"{command}: --{option}: invalid int value {value!r}") from None', "pass", "test_lyubeznik.py"),
+    ("cli.py", 'raise ValueError(f"{command}: --{option}: invalid choice', 'ValueError(f"{command}: --{option}: invalid choice', "test_lyubeznik.py"),
+    ("cli.py", 'raise ValueError(f"no {opts', 'ValueError(f"no {opts', "test_lyubeznik.py"),
+    ("cli.py", "raise ValueError(f\"bott: --gamma: invalid int list {opts['gamma']!r}\") from None", "pass", "test_lyubeznik.py"),
+    # the Ext gates: a outside 1..m fails in the oracle's words, and a short b or a negative e is answered
+    ("ext_mult.py", 'raise ValueError(f"require 1 <= a <= m', 'ValueError(f"require 1 <= a <= m', "test_ext_mult.py"),
+    ("ext_mult.py", 'raise ValueError(f"require b >= 2a-1', 'ValueError(f"require b >= 2a-1', "test_ext_mult.py"),
+    ("ext_mult.py", 'raise ValueError(f"require e >= 0', 'ValueError(f"require e >= 0', "test_ext_mult.py"),
+    # each class's k range: a binomial refuses instead, or the class is answered
+    ("kgroup.py", 'raise ValueError(f"require 0 <= k <= floor(n/2)-1', 'ValueError(f"require 0 <= k <= floor(n/2)-1', "test_lyubeznik.py"),
+    ("kgroup.py", 'raise ValueError(f"require 0 <= k <= m-2', 'ValueError(f"require 0 <= k <= m-2', "test_kgroup.py"),
+    # the characters' guards: an odd ambient size, e = 0 or k >= m is answered or fails in an index;
+    # _check_k's k range is told from verify_limitpfaff's by the line before it
+    ("characters.py", "raise ValueError(odd_error)", "ValueError(odd_error)", "test_characters.py"),
+    ("characters.py", 'raise ValueError(f"require e >= 1', 'ValueError(f"require e >= 1', "test_characters.py"),
+    ("characters.py", "m = n // 2\n    if not 0 <= k <= m - 1:\n        raise ", "m = n // 2\n    if not 0 <= k <= m - 1:\n        ", "test_characters.py"),
+    # a >= b >= 0 and the degree limit: binomial(1, 2) is answered as 1, binomial(201, 100) computed
+    ("partitions.py", 'raise ValueError(f"gaussian_binomial requires', 'ValueError(f"gaussian_binomial requires', "test_partitions.py"),
+    ("partitions.py", 'raise ValueError(f"binomial({a}, {b}) has degree', 'ValueError(f"binomial({a}, {b}) has degree', "test_lyubeznik.py"),
+    # B(s, n)'s s range, and bott's length limit: 10 001 entries are answered
+    ("weights_bott.py", 'raise ValueError(f"require 0 <= s <= floor(n/2)', 'ValueError(f"require 0 <= s <= floor(n/2)', "test_weights_bott.py"),
+    ("weights_bott.py", 'raise ValueError(f"bott takes at most', 'ValueError(f"bott takes at most', "test_lyubeznik.py"),
+    # the size limits of verify and build_table: the suites run at n_max 1, and build_table(1, 0) is refused
+    # by the class's k range
+    ("verify.py", 'raise ValueError(f"require 2 <= n_max', 'ValueError(f"require 2 <= n_max', "test_lyubeznik.py"),
+    ("lyubeznik.py", 'raise ValueError(f"require 2 <= n <=', 'ValueError(f"require 2 <= n <=', "test_lyubeznik.py"),
+    # a bool exponent or coefficient is stored
+    ("polyring.py", "raise TypeError(", "TypeError(", "test_polyring.py"),
 ]
 
 
@@ -194,7 +229,8 @@ def pytest(
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tmp)
         if mutant:
             module, old, new = mutant
             path = Path(tmp, "src", "pflyub", module)

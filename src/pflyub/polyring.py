@@ -11,7 +11,9 @@ from collections.abc import Mapping
 
 
 class QPoly:
-    """An integer Laurent polynomial in q, stored as {e: coeff}."""
+    """An integer Laurent polynomial in q, stored as {e: coeff}.  It never
+    equals an int and is unhashable; a constant is QPoly({0: c}), and +, -
+    and * read an int operand as one."""
 
     __slots__ = ("_terms",)
 

@@ -1,5 +1,5 @@
 """The lazy package namespace, which modules each CLI command loads, and that
-the commands and the benchmark reach every public function and class."""
+README's commands and the benchmark reach every public function and class."""
 
 import ast
 import gc
@@ -13,6 +13,7 @@ import pytest
 
 import pflyub
 from pflyub.cli import main
+from test_readme import EXAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pflyub.__file__)))
 VERIFY_ONLY = {"pflyub.verify", "pflyub.weights_bott", "pflyub.characters", "pflyub.ext_mult", "dataclasses"}
@@ -166,30 +167,17 @@ def test_star_import_and_dir_list_every_public_name():
     assert "__version__" in dir(pflyub)
 
 
-# Runs the README commands (every `localcoh` family, `bott` zero and nonzero,
-# `verify` at --n-max 4) and the benchmark's library path (`build_table`, then
-# `to_obj`, `to_csv` and `to_latex`) under sys.setprofile, and prints the public
-# functions, and the methods of the public classes outside `errors`, whose code
-# never ran; a method is named once, by its code, so an alias adds no name.
+# Runs the README commands, given as a JSON list of [argv, exit code], and the
+# benchmark's library path (`build_table`, then `to_obj`, `to_csv` and
+# `to_latex`) under sys.setprofile, and prints the public functions, and the
+# methods of the public classes outside `errors`, whose code never ran; a method
+# is named once, by its code, so an alias adds no name.
 REACH = """
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 import pflyub
 from pflyub.cli import main
 
-COMMANDS = [
-    ["lyubeznik", "--n", "6", "--k", "1"],
-    ["lyubeznik", "--n", "6", "--k", "1", "--format", "csv"],
-    ["lyubeznik", "--n", "6", "--k", "1", "--format", "latex"],
-    ["genfun", "--n", "5", "--k", "1"],
-    ["localcoh", "--parity", "even", "--m", "3", "--object", "Q", "--index", "1"],
-    ["localcoh", "--parity", "even", "--m", "3", "--object", "D", "--index", "1"],
-    ["localcoh", "--parity", "even", "--m", "3", "--object", "pfpole", "--index", "1"],
-    ["localcoh", "--parity", "odd", "--m", "3", "--object", "D", "--index", "1"],
-    ["gaussian", "--a", "4", "--b", "2", "--power", "4"],
-    ["bott", "--gamma=-3,-3,0"],
-    ["bott", "--gamma=-1,-1,0"],
-    ["verify", "--n-max", "4"],
-]
+COMMANDS = json.loads(sys.argv[1])
 entered = set()
 
 
@@ -199,9 +187,9 @@ def profile(frame, event, arg):
 
 
 sys.setprofile(profile)
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in COMMANDS:
-        assert main(argv) == 0, argv
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv, code in COMMANDS:
+        assert main(argv) == code, argv
     for n in range(2, 9):
         for k in range(n // 2):
             table = pflyub.build_table(n, k)
@@ -239,7 +227,7 @@ UNREACHED_METHODS = [
 
 
 def test_every_public_function_and_class_is_reached_by_a_command_or_the_benchmark():
-    proc = run_python("-c", REACH)
+    proc = run_python("-c", REACH, json.dumps([[example.argv, example.code] for example in EXAMPLES]))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == UNREACHED_METHODS
 
